@@ -1,14 +1,16 @@
 """Self and mutual attention over frame-level features.
 
 Both kinds produce a T' x num_f weight matrix, column-stochastic over time,
-and collapse f_id to a single vector per utterance.  Self-attention scales
-each frame of f_att by the utterance's own time average; mutual attention
-scales it by the partner utterance's self-attended vector, so the weights
-highlight frames that are discriminative for this particular pair.  One
-parameter set serves both utterances of a pair.
+and collapse f_id to a single vector per utterance.  They differ only in
+the per-channel scale applied to f_att before the softmax over time:
+self-attention uses the utterance's own time average, mutual attention
+the partner utterance's self-attended vector, so the weights highlight
+frames that are discriminative for this particular pair.  One softmax-pool
+helper does the weighting for both.  One parameter set serves both
+utterances of a pair.
 
-Grid variants evaluate every (i, j) combination of two utterance groups in
-one broadcast pass; training consumes all B^2 pairs of a batch that way.
+The grid variant evaluates every (i, j) combination of two utterance groups
+in one broadcast pass, by giving mutual attention a group axis on each side.
 """
 
 from __future__ import annotations
@@ -60,34 +62,35 @@ def _time_axis(t):
     return t.data.ndim - 2
 
 
+def _pool(f_att, f_id, scale):
+    """Softmax over time of f_att * scale, then the weighted time sum of f_id.
+
+    f_att and f_id are (.., T', num_f); scale ends in num_f and broadcasts
+    against f_att.  Returns (W, pooled), W column-stochastic over time.
+    """
+    if f_att.data.shape != f_id.data.shape:
+        raise ShapeError(f"f_att {f_att.data.shape} vs f_id {f_id.data.shape}")
+    axis = _time_axis(f_att)
+    if scale.data.shape[-1:] != f_att.data.shape[-1:]:
+        raise ShapeError(
+            f"partner vector width {scale.data.shape} does not match {f_att.data.shape}"
+        )
+    w = T.softmax_over_axis(T.mul(f_att, scale), axis)
+    return w, T.sum_over(T.mul(w, f_id), axis=axis)
+
+
 def self_attention(f_att, f_id):
     """Weights from an utterance's own average activation.
 
     W[t, c] = softmax_t(f_att[t, c] * mean_t(f_att[., c])); the result
     pools f_id as f_self[c] = sum_t W[t, c] * f_id[t, c].
     """
-    if f_att.data.shape != f_id.data.shape:
-        raise ShapeError(f"f_att {f_att.data.shape} vs f_id {f_id.data.shape}")
-    axis = _time_axis(f_att)
-    scaled = T.mul(f_att, T.mean_over(f_att, axis=axis, keepdims=True))
-    w = T.softmax_over_axis(scaled, axis)
-    f_self = T.sum_over(T.mul(w, f_id), axis=axis)
-    return w, f_self
+    return _pool(f_att, f_id, T.mean_over(f_att, axis=_time_axis(f_att), keepdims=True))
 
 
 def mutual_attention(f_att_1, f_id_1, f_self_2):
     """Weights for utterance 1 driven by utterance 2's pooled vector."""
-    if f_att_1.data.shape != f_id_1.data.shape:
-        raise ShapeError(f"f_att {f_att_1.data.shape} vs f_id {f_id_1.data.shape}")
-    axis = _time_axis(f_att_1)
-    if f_self_2.data.shape[-1] != f_att_1.data.shape[-1]:
-        raise ShapeError(
-            f"partner vector width {f_self_2.data.shape} does not match {f_att_1.data.shape}"
-        )
-    scaled = T.mul(f_att_1, f_self_2)  # broadcasts over the time axis
-    w = T.softmax_over_axis(scaled, axis)
-    f_mutual_1 = T.sum_over(T.mul(w, f_id_1), axis=axis)
-    return w, f_mutual_1
+    return _pool(f_att_1, f_id_1, f_self_2)  # partner broadcasts over time
 
 
 def mutual_attention_grid(f_att_1, f_id_1, f_self_2):
@@ -96,13 +99,12 @@ def mutual_attention_grid(f_att_1, f_id_1, f_self_2):
     f_att_1/f_id_1: (B1, T', num_f); f_self_2: (B2, num_f).  Returns
     (B1, B2, num_f) where [i, j] pools utterance i against partner j.
     """
-    b1, t, nf = f_att_1.data.shape
-    b2 = f_self_2.data.shape[0]
-    att = T.reshape(f_att_1, (b1, 1, t, nf))
-    fid = T.reshape(f_id_1, (b1, 1, t, nf))
-    partner = T.reshape(f_self_2, (1, b2, 1, nf))
-    w = T.softmax_over_axis(T.mul(att, partner), 2)
-    return T.sum_over(T.mul(w, fid), axis=2)
+    t, nf = f_att_1.data.shape[1:]
+    return mutual_attention(
+        T.reshape(f_att_1, (-1, 1, t, nf)),
+        T.reshape(f_id_1, (-1, 1, t, nf)),
+        T.reshape(f_self_2, (1, -1, 1, nf)),
+    )[1]
 
 
 @dataclass
@@ -117,25 +119,3 @@ class UtteranceAttention:
 class PairAttention:
     u1: UtteranceAttention
     u2: UtteranceAttention
-
-
-def _as_frames(x):
-    if x.data.ndim == 3:
-        if x.data.shape[0] != 1:
-            raise ShapeError(f"expected a single utterance, got batch {x.data.shape}")
-        return T.reshape(x, x.data.shape[1:])
-    return x
-
-
-def attend_pair(u1, u2, params, mode="infer"):
-    """Full dual-attention pass for one utterance pair (any T' lengths)."""
-    out = []
-    raws = [_as_frames(u.f_raw) for u in (u1, u2)]
-    ids = [_as_frames(u.f_id) for u in (u1, u2)]
-    atts_self = [compute_f_att(r, params, "self", mode) for r in raws]
-    atts_mutual = [compute_f_att(r, params, "mutual", mode) for r in raws]
-    selfs = [self_attention(a, i) for a, i in zip(atts_self, ids)]
-    for k, other in ((0, 1), (1, 0)):
-        w_m, f_m = mutual_attention(atts_mutual[k], ids[k], selfs[other][1])
-        out.append(UtteranceAttention(selfs[k][0], selfs[k][1], w_m, f_m))
-    return PairAttention(out[0], out[1])

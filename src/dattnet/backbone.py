@@ -46,34 +46,29 @@ class BackboneConfig:
 class Module:
     """Parameter container; children found by attribute walk (insertion order)."""
 
-    def named_params(self, prefix=""):
-        out = []
+    def _leaves(self, prefix=""):
+        """(name, Tensor or BNState) for every attribute leaf, depth first."""
         for key, val in vars(self).items():
             name = f"{prefix}.{key}" if prefix else key
-            if isinstance(val, T.Tensor) and val.requires_grad:
-                out.append((name, val))
-            elif isinstance(val, T.BNState):
-                out.append((f"{name}.gamma", val.gamma))
-                out.append((f"{name}.beta", val.beta))
+            if isinstance(val, (T.Tensor, T.BNState)):
+                yield name, val
             elif isinstance(val, Module):
-                out.extend(val.named_params(name))
+                yield from val._leaves(name)
             elif isinstance(val, (list, tuple)) and val and isinstance(val[0], Module):
                 for i, child in enumerate(val):
-                    out.extend(child.named_params(f"{name}.{i}"))
+                    yield from child._leaves(f"{name}.{i}")
+
+    def named_params(self, prefix=""):
+        out = []
+        for name, val in self._leaves(prefix):
+            if isinstance(val, T.BNState):
+                out += [(f"{name}.gamma", val.gamma), (f"{name}.beta", val.beta)]
+            elif val.requires_grad:
+                out.append((name, val))
         return out
 
     def named_bn_states(self, prefix=""):
-        out = []
-        for key, val in vars(self).items():
-            name = f"{prefix}.{key}" if prefix else key
-            if isinstance(val, T.BNState):
-                out.append((name, val))
-            elif isinstance(val, Module):
-                out.extend(val.named_bn_states(name))
-            elif isinstance(val, (list, tuple)) and val and isinstance(val[0], Module):
-                for i, child in enumerate(val):
-                    out.extend(child.named_bn_states(f"{name}.{i}"))
-        return out
+        return [(name, val) for name, val in self._leaves(prefix) if isinstance(val, T.BNState)]
 
     def params(self):
         return [p for _, p in self.named_params()]
@@ -189,7 +184,6 @@ class Trunk(Module):
 
     def __init__(self, rng, cfg, dtype=np.float32):
         c = cfg.channels
-        self.stages = []
         cin = c[0]
         for stage_idx, (cout, n_blocks) in enumerate(zip(c, cfg.blocks_per_stage)):
             blocks = []
@@ -197,7 +191,12 @@ class Trunk(Module):
                 stride = (2, 2) if stage_idx > 0 and b == 0 else (1, 1)
                 blocks.append(BasicBlock(rng, cin, cout, stride, dtype))
                 cin = cout
-            self.stages.append(blocks)
+            # an attribute per stage: the Module walk names blocks stage{i}.{j}
+            setattr(self, f"stage{stage_idx}", blocks)
+
+    @property
+    def stages(self):
+        return [self.stage0, self.stage1, self.stage2, self.stage3]
 
     def __call__(self, x, mode):
         h = T.pool2d(x, "max", (3, 3), (2, 2), (1, 1))
@@ -207,22 +206,6 @@ class Trunk(Module):
             for block in blocks:
                 h = block(h, mode)
         return h
-
-    def named_params(self, prefix=""):
-        out = []
-        for si, blocks in enumerate(self.stages):
-            for bi, block in enumerate(blocks):
-                name = f"{prefix}.stage{si}.{bi}" if prefix else f"stage{si}.{bi}"
-                out.extend(block.named_params(name))
-        return out
-
-    def named_bn_states(self, prefix=""):
-        out = []
-        for si, blocks in enumerate(self.stages):
-            for bi, block in enumerate(blocks):
-                name = f"{prefix}.stage{si}.{bi}" if prefix else f"stage{si}.{bi}"
-                out.extend(block.named_bn_states(name))
-        return out
 
 
 @dataclass

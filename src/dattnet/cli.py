@@ -14,7 +14,6 @@ import argparse
 import csv
 import os
 import sys
-import tempfile
 from dataclasses import replace
 
 EXIT_FAILURE = 1
@@ -48,18 +47,6 @@ def _fail(msg, code=EXIT_FAILURE):
     return code
 
 
-def _atomic_write(path, write_fn):
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".", suffix=".tmp")
-    os.close(fd)
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _load_config(args):
     """TrainConfig from --config JSON (strict keys) with --seed override."""
     from .training import TrainConfig, load_config
@@ -71,6 +58,8 @@ def _load_config(args):
 
 
 def _write_log_csv(path, log):
+    from .features import atomic_write
+
     def emit(tmp):
         with open(tmp, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -80,7 +69,7 @@ def _write_log_csv(path, log):
                     ["" if row[c] is None else row[c] for c in LOG_COLUMNS]
                 )
 
-    _atomic_write(path, emit)
+    atomic_write(path, emit)
 
 
 def _format_row(row):
@@ -174,7 +163,7 @@ def cmd_synth(args):
     import numpy as np
 
     from .errors import ConfigError
-    from .features import generate_synthetic_corpus, write_fbank
+    from .features import atomic_write, generate_synthetic_corpus, write_fbank
 
     try:
         cfg = _load_config(args)
@@ -189,7 +178,7 @@ def cmd_synth(args):
     for s in range(corpus.num_speakers):
         for u, utt in enumerate(corpus.utterances[s]):
             path = os.path.join(args.out, _utterance_name(s, u))
-            _atomic_write(path, lambda tmp, utt=utt: write_fbank(tmp, utt))
+            atomic_write(path, lambda tmp, utt=utt: write_fbank(tmp, utt))
             n_files += 1
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 3)))
     trials = _synth_trials(corpus, rng, SYNTH_TRIALS)
@@ -200,14 +189,14 @@ def cmd_synth(args):
             for label, p1, p2 in trials:
                 fh.write(f"{label} {os.path.join(args.out, p1)} {os.path.join(args.out, p2)}\n")
 
-    _atomic_write(trial_path, emit)
+    atomic_write(trial_path, emit)
     print(f"wrote {n_files} feature files and {len(trials)} trials under {args.out}")
     return 0
 
 
 def cmd_fbank(args):
     from .errors import FormatError, InputError
-    from .features import compute_fbank, read_wav, write_fbank
+    from .features import atomic_write, compute_fbank, read_wav, write_fbank
 
     if args.out is not None and len(args.wav) > 1:
         os.makedirs(args.out, exist_ok=True)
@@ -223,7 +212,7 @@ def cmd_fbank(args):
             feats = compute_fbank(audio)
         except (OSError, FormatError, InputError) as e:
             return _fail(e)
-        _atomic_write(dst, lambda tmp, feats=feats: write_fbank(tmp, feats))
+        atomic_write(dst, lambda tmp, feats=feats: write_fbank(tmp, feats))
         print(f"{wav} -> {dst} ({feats.n_frames} frames)")
     return 0
 

@@ -11,14 +11,12 @@ the false-acceptance and false-rejection rates cross.
 from __future__ import annotations
 
 import csv
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, InputError
-from .features import FBankMatrix, pad_or_crop, read_fbank
+from .features import FBankMatrix, atomic_write, pad_or_crop, read_fbank
 from .scoring import fuse_scores
 
 SEGMENT_FRAMES = 500
@@ -112,9 +110,9 @@ def parse_trial_list(path):
 
 def write_score_csv(path, rows):
     """Atomic CSV emission, rows ordered by trial index."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
+
+    def emit(tmp):
+        with open(tmp, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["trial_idx", "label", "score_cos", "score_binary", "score_all"])
             for idx, ts in sorted(rows):
@@ -127,11 +125,8 @@ def write_score_csv(path, rows):
                         repr(float(ts.score_all)),
                     ]
                 )
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+
+    atomic_write(path, emit)
 
 
 def run_eval(trials, model, ns, csv_path=None):

@@ -13,7 +13,9 @@ bit-reproducible per seed regardless of generation order.
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 import wave
 from dataclasses import dataclass, field
 
@@ -230,6 +232,24 @@ def generate_synthetic_corpus(
 
 # ---------------------------------------------------------------------------
 # external formats
+
+
+def atomic_write(path, write_fn):
+    """Call write_fn(tmp) on a fresh temp file beside path, then rename it to path.
+
+    On any failure the temp file is removed and path is left as it was, so
+    readers never see a partial file.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".", suffix=".tmp")
+    os.close(fd)
+    try:
+        write_fn(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
 
 FBNK_MAGIC = b"FBNK"
 

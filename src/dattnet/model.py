@@ -16,18 +16,17 @@ temporary name and renamed, so failures never leave partial checkpoints.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionParams, compute_f_att, mutual_attention_grid, self_attention
+from .attention import AttentionParams, compute_f_att, self_attention
 from .backbone import Backbone, BackboneConfig, Module
-from .errors import FormatError, NumericError
+from .errors import FormatError
 from .evaluation import segment_utterance
-from .scoring import BinaryHeadParams, NormStats, binary_head_scores
+from .features import atomic_write
+from .scoring import BinaryHeadParams, NormStats, cosine_grid, pair_grid_scores
 
 CKPT_MAGIC = b"DATTCKP1"
 CKPT_VERSION = 1
@@ -86,14 +85,18 @@ class DattModel(Module):
         x = T.Tensor(np.ascontiguousarray(frames, dtype=self.dtype)[..., None])
         return self.backbone(x, mode)
 
+    def attend(self, f_raw, f_id, mode):
+        """(f_self, f_att_mutual) of an utterance group, as pair_grid_scores takes them."""
+        f_att_self = compute_f_att(f_raw, self.attention, "self", mode)
+        f_att_mutual = compute_f_att(f_raw, self.attention, "mutual", mode)
+        return self_attention(f_att_self, f_id)[1], f_att_mutual
+
     def embed_utterance(self, fbank):
         """Segment, run the backbone in inference mode, cache attention inputs."""
         segments = segment_utterance(fbank)
         stack = np.stack([s.frames for s in segments])
         feats = self.forward_utterances(stack, "infer")
-        f_att_self = compute_f_att(feats.f_raw, self.attention, "self", "infer")
-        f_att_mutual = compute_f_att(feats.f_raw, self.attention, "mutual", "infer")
-        _, f_self = self_attention(f_att_self, feats.f_id)
+        f_self, f_att_mutual = self.attend(feats.f_raw, feats.f_id, "infer")
         return UtteranceRecord(
             f_id=feats.f_id.data,
             f_att_mutual=f_att_mutual.data,
@@ -110,22 +113,11 @@ class DattModel(Module):
         for the two orientations; the float64 mean agrees to float64 rounding,
         so the result does not depend on which utterance comes first.
         """
-        n1 = np.linalg.norm(r1.embedding, axis=1)
-        n2 = np.linalg.norm(r2.embedding, axis=1)
-        if (n1 == 0).any() or (n2 == 0).any():
-            raise NumericError("zero-norm segment embedding")
-        cos_matrix = (r1.embedding / n1[:, None]) @ (r2.embedding / n2[:, None]).T
-        g1 = mutual_attention_grid(
-            T.Tensor(r1.f_att_mutual), T.Tensor(r1.f_id), T.Tensor(r2.f_self)
-        ).data
-        g2 = mutual_attention_grid(
-            T.Tensor(r2.f_att_mutual), T.Tensor(r2.f_id), T.Tensor(r1.f_self)
-        ).data
-        diff_self = r1.f_self[:, None, :] - r2.f_self[None, :, :]
-        x = diff_self * (g1 - g2.transpose(1, 0, 2))
-        probs = binary_head_scores(T.Tensor(x), self.head, "infer").data
+        cos = cosine_grid(r1.embedding, r2.embedding)
+        a, b = ((T.Tensor(r.f_self), T.Tensor(r.f_att_mutual), T.Tensor(r.f_id)) for r in (r1, r2))
+        probs = pair_grid_scores(a, b, self.head, "infer").data
         return (
-            float(cos_matrix.astype(np.float64).mean()),
+            float(cos.astype(np.float64).mean()),
             float(probs.astype(np.float64).mean()),
         )
 
@@ -171,19 +163,16 @@ def save_checkpoint(path, model, norm_stats=None, train_meta=None):
         "train_meta": train_meta or {},
     }
     doc = json.dumps(manifest).encode()
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
+
+    def emit(tmp):
+        with open(tmp, "wb") as fh:
             fh.write(CKPT_MAGIC)
             fh.write(len(doc).to_bytes(8, "little"))
             fh.write(doc)
             for blob in blobs:
                 fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+
+    atomic_write(path, emit)
 
 
 def load_checkpoint(path, dtype=np.float32):

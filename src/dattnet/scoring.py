@@ -3,7 +3,8 @@
 Two raw scores per pair: cosine similarity of the pooled embeddings, and a
 learned binary head on the dual-attention features.  The head multiplies
 the two utterances' f_self difference with their f_mutual difference
-elementwise, normalizes, and maps to a sigmoid probability; negating both
+elementwise, normalizes, and maps to a sigmoid probability in [0, 1] (a
+float32 sigmoid saturates to exactly 1.0 for large logits); negating both
 differences cancels, so the score is exactly order-invariant.  The
 segment-averaged trial score keeps this property because
 `DattModel.score_records` averages the pair-score grids in float64.
@@ -20,20 +21,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .attention import mutual_attention_grid
 from .backbone import BatchNorm, Dense, Module
 from .errors import NumericError
 
 STD_FLOOR = 1e-6
 
 
-def cosine_score(e1, e2):
-    """Cosine similarity in [-1, 1]; zero vectors are an error."""
-    a = np.asarray(e1.data if isinstance(e1, T.Tensor) else e1, dtype=np.float64).reshape(-1)
-    b = np.asarray(e2.data if isinstance(e2, T.Tensor) else e2, dtype=np.float64).reshape(-1)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise NumericError("cosine_score: zero-norm embedding")
-    return float(a @ b / (na * nb))
+def cosine_grid(e1, e2):
+    """Cosine similarity of every row of e1 with every row of e2, in [-1, 1].
+
+    (X, F) and (Y, F) give an (X, Y) grid; two vectors give a scalar.
+    Zero vectors are an error.
+    """
+    n1 = np.linalg.norm(e1, axis=-1, keepdims=True)
+    n2 = np.linalg.norm(e2, axis=-1, keepdims=True)
+    if (n1 == 0).any() or (n2 == 0).any():
+        raise NumericError("cosine_grid: zero-norm embedding")
+    return (e1 / n1) @ (e2 / n2).T
 
 
 class BinaryHeadParams(Module):
@@ -65,8 +70,28 @@ def binary_head_scores(x, params, mode="infer", rng=None):
     return T.reshape(T.sigmoid(logit), lead)
 
 
+def pair_grid_scores(a, b, head, mode="infer", rng=None):
+    """(B1, B2) binary-head scores; [i, j] pairs utterance i of a with j of b.
+
+    a and b are attended groups: (f_self, f_att_mutual, f_id) tensors shaped
+    (B, num_f), (B, T', num_f) and (B, T', num_f).
+    """
+    self_a, att_a, id_a = a
+    self_b, att_b, id_b = b
+    nf = self_a.data.shape[-1]
+    mutual_ab = mutual_attention_grid(att_a, id_a, self_b)  # (B1, B2, num_f)
+    mutual_ba = mutual_attention_grid(att_b, id_b, self_a)  # (B2, B1, num_f)
+    x = pair_difference_product(
+        T.reshape(self_a, (-1, 1, nf)),
+        T.reshape(self_b, (1, -1, nf)),
+        mutual_ab,
+        T.transpose(mutual_ba, (1, 0, 2)),
+    )
+    return binary_head_scores(x, head, mode, rng)
+
+
 def binary_score(pa, params, mode="infer", rng=None):
-    """Similarity of one attended pair, in (0, 1)."""
+    """Similarity of one attended pair, in [0, 1]."""
     x = pair_difference_product(
         pa.u1.f_self, pa.u2.f_self, pa.u1.f_mutual, pa.u2.f_mutual
     )

@@ -31,7 +31,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
-        if not np.issubdtype(self.data.dtype, np.floating):
+        if self.data.dtype.kind != "f":
             self.data = self.data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None

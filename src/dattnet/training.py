@@ -1,6 +1,6 @@
 """Losses, pair batching, and the SGD training loop.
 
-Each step draws速 speakers without replacement, two utterance crops per
+Each step draws B speakers without replacement, two utterance crops per
 speaker, split into two groups; the i-th crop of group 1 against the j-th
 of group 2 gives B^2 pairs with positives exactly on the diagonal.  One
 backbone pass covers all 2B crops; the identity loss (plain or
@@ -19,14 +19,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .attention import compute_f_att, mutual_attention_grid, self_attention
 from .backbone import BackboneConfig
 from .errors import ConfigError, InputError, NumericError, ShapeError
 from .features import generate_synthetic_corpus, pad_or_crop
 from .model import DattModel
-from .scoring import binary_head_scores, calibrate_norm_stats
-
-BCE_CLAMP = T.BCE_CLAMP
+from .scoring import calibrate_norm_stats, pair_grid_scores
 
 
 @dataclass
@@ -214,20 +211,6 @@ def am_softmax_prob(embedding, fc2_weights, label, s, m):
     return float(p[label] / p.sum())
 
 
-def binary_ce_loss(scores, pos_weight=0.0):
-    """Mean binary cross-entropy over (probability, label) pairs."""
-    p = np.clip(np.asarray([s for s, _ in scores], dtype=np.float64), BCE_CLAMP, 1 - BCE_CLAMP)
-    y = np.asarray([lab for _, lab in scores], dtype=np.float64)
-    w = pos_weight if pos_weight > 0 else 1.0
-    return float(np.mean(-(w * y * np.log(p) + (1 - y) * np.log(1 - p))))
-
-
-def combined_loss(loss_id, loss_binary, lambda_):
-    if lambda_ < 0:
-        raise InputError(f"lambda must be >= 0, got {lambda_}")
-    return loss_id + lambda_ * loss_binary
-
-
 def lr_at(step, total_steps, base_lr):
     """Half-cosine decay from base_lr to 0 across total_steps."""
     if not 0 <= step <= total_steps:
@@ -297,20 +280,15 @@ def pair_batch_losses(model, batch, cfg, mode, dropout_rng=None):
     if cfg.lambda_ == 0.0:
         return loss_id, None, loss_id
 
-    raws = [T.narrow(feats.f_raw, 0, 0, b), T.narrow(feats.f_raw, 0, b, b)]
-    ids = [T.narrow(feats.f_id, 0, 0, b), T.narrow(feats.f_id, 0, b, b)]
-    f_selfs = []
-    for raw, fid in zip(raws, ids):
-        att = compute_f_att(raw, model.attention, "self", mode)
-        f_selfs.append(self_attention(att, fid)[1])
-    att_m1 = compute_f_att(raws[0], model.attention, "mutual", mode)
-    att_m2 = compute_f_att(raws[1], model.attention, "mutual", mode)
-    grid1 = mutual_attention_grid(att_m1, ids[0], f_selfs[1])
-    grid2 = mutual_attention_grid(att_m2, ids[1], f_selfs[0])
-    nf = cfg.num_f
-    diff_self = T.sub(T.reshape(f_selfs[0], (b, 1, nf)), T.reshape(f_selfs[1], (1, b, nf)))
-    x_pair = T.mul(diff_self, T.sub(grid1, T.transpose(grid2, (1, 0, 2))))
-    probs = binary_head_scores(x_pair, model.head, mode, dropout_rng)
+    # one attention call per group, group 1 first: train-mode BN statistics
+    # are those of each group, not of the 2B crops together
+    groups = []
+    for start in (0, b):
+        f_raw = T.narrow(feats.f_raw, 0, start, b)
+        f_id = T.narrow(feats.f_id, 0, start, b)
+        f_self, f_att_mutual = model.attend(f_raw, f_id, mode)
+        groups.append((f_self, f_att_mutual, f_id))
+    probs = pair_grid_scores(groups[0], groups[1], model.head, mode, dropout_rng)
     loss_binary = T.binary_cross_entropy(
         probs, batch.pair_labels.astype(probs.data.dtype),
         pos_weight=cfg.pos_weight if cfg.pos_weight > 0 else None,
@@ -366,7 +344,7 @@ def train_model(cfg, corpus=None, log_fn=None):
     log = []
     for step in range(total):
         batch = build_pair_batch(corpus, cfg, batch_rng)
-        lr_scale = 0.5 * (1.0 + math.cos(math.pi * step / total))
+        lr_scale = lr_at(step, total, 1.0)
         loss_id, loss_binary, loss_all = train_step(
             model, batch, cfg, optimizer, lr_scale, dropout_rng
         )

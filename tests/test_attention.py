@@ -5,12 +5,7 @@ import pytest
 
 from dattnet import attention as A
 from dattnet import tensor as T
-from dattnet.backbone import Backbone, BackboneConfig
 from dattnet.errors import ShapeError
-
-TINY_CFG = BackboneConfig(mel_bins=32, channels=(4, 4, 8, 8),
-                          blocks_per_stage=(1, 1, 1, 1), num_f=6, num_id=3)
-
 
 def oracle_self(f_att, f_id):
     """Self weights and pooled vector by direct loops."""
@@ -221,40 +216,3 @@ class TestComputeFAtt:
         names = [n for n, _ in p.named_params()]
         assert len(names) == len(set(names))
         assert not any("mutual" in n for n in names)
-
-
-class TestAttendPair:
-    def _features(self, t, seed):
-        model = Backbone(TINY_CFG, np.random.default_rng(19))
-        x = T.Tensor(np.random.default_rng(seed).normal(size=(1, t, 32, 1)).astype(np.float32))
-        return model(x, "infer")
-
-    def _params(self):
-        return A.AttentionParams(np.random.default_rng(20), c_in=8, num_f=6, dtype=np.float32)
-
-    def test_same_utterance_identical_outputs(self):
-        u = self._features(100, 21)
-        pa = A.attend_pair(u, u, self._params())
-        for field in ("w_self", "f_self", "w_mutual", "f_mutual"):
-            assert np.array_equal(getattr(pa.u1, field).data, getattr(pa.u2, field).data)
-
-    def test_swap_exchanges_outputs(self):
-        ua, ub = self._features(100, 22), self._features(130, 23)
-        p = self._params()
-        fwd = A.attend_pair(ua, ub, p)
-        rev = A.attend_pair(ub, ua, p)
-        for field in ("w_self", "f_self", "w_mutual", "f_mutual"):
-            assert np.array_equal(getattr(fwd.u1, field).data, getattr(rev.u2, field).data)
-            assert np.array_equal(getattr(fwd.u2, field).data, getattr(rev.u1, field).data)
-
-    def test_unequal_lengths_shapes(self):
-        # trunk maps 100 and 230 input frames to different T'
-        ua, ub = self._features(100, 24), self._features(230, 25)
-        p = self._params()
-        pa = A.attend_pair(ua, ub, p)
-        t1 = ua.f_id.data.shape[1]
-        t2 = ub.f_id.data.shape[1]
-        assert t1 != t2
-        assert pa.u1.w_mutual.data.shape == (t1, 6)
-        assert pa.u2.w_mutual.data.shape == (t2, 6)
-        assert pa.u1.f_mutual.data.shape == (6,)

@@ -32,25 +32,25 @@ def make_head(num_f=8, seed=0, dtype=np.float64):
 class TestCosine:
     def test_identities(self):
         v = np.array([0.3, -1.2, 2.0])
-        assert S.cosine_score(v, v) == pytest.approx(1.0)
-        assert S.cosine_score([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-        assert S.cosine_score(v, -v) == pytest.approx(-1.0)
+        assert S.cosine_grid(v, v) == pytest.approx(1.0)
+        assert S.cosine_grid([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
+        assert S.cosine_grid(v, -v) == pytest.approx(-1.0)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             v, w = rng.normal(size=6), rng.normal(size=6)
             a = rng.uniform(0.1, 50.0)
-            assert S.cosine_score(a * v, w) == pytest.approx(S.cosine_score(v, w), abs=1e-6)
+            assert S.cosine_grid(a * v, w) == pytest.approx(S.cosine_grid(v, w), abs=1e-6)
 
     def test_zero_norm_raises(self):
         with pytest.raises(NumericError):
-            S.cosine_score(np.zeros(4), np.ones(4))
+            S.cosine_grid(np.zeros(4), np.ones(4))
 
     def test_range(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            s = S.cosine_score(rng.normal(size=5), rng.normal(size=5))
+            s = S.cosine_grid(rng.normal(size=5), rng.normal(size=5))
             assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
 
 

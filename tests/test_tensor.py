@@ -471,6 +471,12 @@ class TestLosses:
         assert np.isfinite(loss.data)
         np.testing.assert_allclose(loss.data, -np.log(T.BCE_CLAMP), rtol=1e-6)
 
+    def test_bce_pos_weight_scales_positive_term_only(self):
+        p = T.Tensor(np.array([0.4, 0.4]))
+        y = np.array([1.0, 0.0])
+        loss = T.binary_cross_entropy(p, y, pos_weight=2.0)
+        np.testing.assert_allclose(loss.data, -(2.0 * np.log(0.4) + np.log(0.6)) / 2, rtol=1e-12)
+
     def test_bce_grads(self):
         rng = np.random.default_rng(27)
         p = rng.uniform(0.05, 0.95, size=(6,))

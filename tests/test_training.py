@@ -9,16 +9,14 @@ from numpy.testing import assert_allclose
 
 from dattnet import tensor as T
 from dattnet.errors import ConfigError, InputError, ShapeError
-from dattnet.features import generate_synthetic_corpus
+from dattnet.features import FBankMatrix, generate_synthetic_corpus
 from dattnet.model import DattModel
 from dattnet.training import (
     SGD,
     TrainConfig,
     am_softmax_loss,
     am_softmax_prob,
-    binary_ce_loss,
     build_pair_batch,
-    combined_loss,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -214,27 +212,6 @@ class TestLosses:
         p_m = am_softmax_prob(e, w, 1, 30.0, 0.2)
         assert p_m < p0
 
-    def test_binary_ce_hand_values(self):
-        want = -(math.log(0.9) + math.log(0.8)) / 2.0
-        got = binary_ce_loss([(0.9, 1), (0.2, 0)])
-        assert abs(got - want) <= 1e-12
-
-    def test_binary_ce_clamps(self):
-        assert binary_ce_loss([(0.0, 0)]) <= 1e-6
-        assert binary_ce_loss([(0.0, 1)]) == pytest.approx(-math.log(1e-7))
-        assert binary_ce_loss([(1.0, 0)]) == pytest.approx(-math.log(1e-7))
-
-    def test_binary_ce_pos_weight(self):
-        base = binary_ce_loss([(0.4, 1)])
-        assert binary_ce_loss([(0.4, 1)], pos_weight=2.0) == pytest.approx(2 * base)
-        assert binary_ce_loss([(0.4, 0)], pos_weight=2.0) == binary_ce_loss([(0.4, 0)])
-
-    def test_combined_loss(self):
-        assert combined_loss(1.5, 0.25, 2.0) == 2.0
-        assert combined_loss(1.5, 0.25, 0.0) == 1.5
-        with pytest.raises(InputError):
-            combined_loss(1.0, 1.0, -0.5)
-
 
 class TestSchedule:
     def test_endpoints_and_midpoint(self):
@@ -378,6 +355,21 @@ class TestPairBatchLosses:
         labels = np.concatenate([batch.speaker_ids, batch.speaker_ids])
         want = softmax_ce_loss(feats.logits, labels)
         assert abs(loss_id.item() - want.item()) <= 1e-6
+
+    def test_infer_binary_loss_matches_eval_scores(self):
+        # whole 500-frame crops are each exactly one eval segment, so the
+        # training pair grid and score_records see the same pairs
+        cfg = tiny_cfg(crop_frames=500, speakers_per_batch=3)
+        corpus = tiny_corpus(cfg)
+        model = DattModel(cfg.backbone_config(), cfg.seed)
+        batch = build_pair_batch(corpus, cfg, np.random.default_rng(6))
+        _, loss_binary, _ = pair_batch_losses(model, batch, cfg, "infer")
+        r1 = [model.embed_utterance(FBankMatrix(f)) for f in batch.group1]
+        r2 = [model.embed_utterance(FBankMatrix(f)) for f in batch.group2]
+        scores = np.array([[model.score_records(a, b)[1] for b in r2] for a in r1])
+        want = T.binary_cross_entropy(T.Tensor(scores), np.eye(3))
+        # the backbone runs once on all 2B crops, and once per utterance
+        assert_allclose(loss_binary.item(), want.item(), rtol=1e-5)
 
 
 class TestDescent:
