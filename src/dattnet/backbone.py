@@ -199,10 +199,10 @@ class Trunk(Module):
         return [self.stage0, self.stage1, self.stage2, self.stage3]
 
     def __call__(self, x, mode):
-        h = T.pool2d(x, "max", (3, 3), (2, 2), (1, 1))
+        h = T.pool2d(x, (3, 3), (2, 2), (1, 1))
         for stage_idx, blocks in enumerate(self.stages):
             if stage_idx == 2:
-                h = T.pool2d(h, "max", (3, 1), (2, 1), (1, 0))
+                h = T.pool2d(h, (3, 1), (2, 1), (1, 0))
             for block in blocks:
                 h = block(h, mode)
         return h

@@ -36,8 +36,6 @@ class FBankMatrix:
     """T x F matrix of log-mel energies for one utterance or segment."""
 
     frames: np.ndarray
-    frame_shift_s: float = 0.010
-    frame_len_s: float = 0.025
 
     def __post_init__(self):
         self.frames = np.ascontiguousarray(self.frames, dtype=np.float32)
@@ -86,19 +84,13 @@ def mel_filterbank(n_mels=N_MELS, n_fft=N_FFT, sample_rate=SAMPLE_RATE, fmin=0.0
     return weights, edges_hz[1:-1].copy()
 
 
-def compute_fbank(audio, sample_rate=SAMPLE_RATE, pre_emphasis=0.0, cmvn=False):
-    """Log-mel energies of a mono waveform.
-
-    `pre_emphasis` (coefficient, 0 disables) and `cmvn` (per-utterance mean
-    and variance normalization) both default off.
-    """
+def compute_fbank(audio, sample_rate=SAMPLE_RATE):
+    """Log-mel energies of a mono waveform."""
     if sample_rate != SAMPLE_RATE:
         raise FormatError(f"sample rate must be {SAMPLE_RATE} Hz, got {sample_rate}")
     x = np.asarray(audio, dtype=np.float64).reshape(-1)
     if x.size < FRAME_LEN:
         raise InputError(f"need at least {FRAME_LEN} samples (one frame), got {x.size}")
-    if pre_emphasis:
-        x = np.concatenate([x[:1], x[1:] - pre_emphasis * x[:-1]])
     n_frames = 1 + (x.size - FRAME_LEN) // FRAME_HOP
     window = hann_window(FRAME_LEN)
     mel, _ = mel_filterbank()
@@ -109,10 +101,7 @@ def compute_fbank(audio, sample_rate=SAMPLE_RATE, pre_emphasis=0.0, cmvn=False):
         spec = np.fft.rfft(seg, n=N_FFT)
         power = spec.real * spec.real + spec.imag * spec.imag
         out[i] = mel @ power
-    out = np.log(np.maximum(out, LOG_FLOOR))
-    if cmvn:
-        out = (out - out.mean(axis=0)) / np.maximum(out.std(axis=0), 1e-8)
-    return FBankMatrix(out)
+    return FBankMatrix(np.log(np.maximum(out, LOG_FLOOR)))
 
 
 def pad_or_crop(f, target_t, mode, rng=None):
@@ -171,9 +160,6 @@ class SyntheticCorpus:
     @property
     def mel_bins(self):
         return self.templates.shape[1]
-
-    def utts_per_speaker(self):
-        return [len(u) for u in self.utterances]
 
 
 def _stream(*key):

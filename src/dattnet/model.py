@@ -16,6 +16,8 @@ temporary name and renamed, so failures never leave partial checkpoints.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,9 +88,16 @@ class DattModel(Module):
         return self.backbone(x, mode)
 
     def attend(self, f_raw, f_id, mode):
-        """(f_self, f_att_mutual) of an utterance group, as pair_grid_scores takes them."""
+        """(f_self, f_att_mutual) of an utterance group, as pair_grid_scores takes them.
+
+        A shared attention stack runs once: its one output feeds both paths,
+        so its batch norm sees each group once per step.
+        """
         f_att_self = compute_f_att(f_raw, self.attention, "self", mode)
-        f_att_mutual = compute_f_att(f_raw, self.attention, "mutual", mode)
+        if self.attention.shared:
+            f_att_mutual = f_att_self
+        else:
+            f_att_mutual = compute_f_att(f_raw, self.attention, "mutual", mode)
         return self_attention(f_att_self, f_id)[1], f_att_mutual
 
     def embed_utterance(self, fbank):
@@ -120,9 +129,6 @@ class DattModel(Module):
             float(cos.astype(np.float64).mean()),
             float(probs.astype(np.float64).mean()),
         )
-
-    def score_pair_raw(self, f1, f2):
-        return self.score_records(self.embed_utterance(f1), self.embed_utterance(f2))
 
 
 # ---------------------------------------------------------------------------
@@ -175,49 +181,100 @@ def save_checkpoint(path, model, norm_stats=None, train_meta=None):
     atomic_write(path, emit)
 
 
+def _is_count(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _payload_extents(path, index, payload_len):
+    """name -> (shape, start, end) byte extents of a parameter index.
+
+    Every entry needs a shape and an offset of non-negative ints; its extent
+    must lie inside the payload and overlap no other entry's.
+    """
+    if not isinstance(index, dict):
+        raise FormatError(f"{path}: manifest params is not an object")
+    extents = {}
+    for name, meta in index.items():
+        meta = meta if isinstance(meta, dict) else {}
+        shape, start = meta.get("shape"), meta.get("offset")
+        if not (isinstance(shape, list) and all(map(_is_count, shape)) and _is_count(start)):
+            raise FormatError(f"{path}: {name}: index entry needs a shape and an offset of counts")
+        end = start + math.prod(shape) * 4
+        if end > payload_len:
+            raise FormatError(
+                f"{path}: {name}: bytes [{start}, {end}) lie outside the {payload_len}-byte payload"
+            )
+        extents[name] = (tuple(shape), start, end)
+    spans = sorted((start, end, name) for name, (_, start, end) in extents.items())
+    for (_, end, a), (start, _, b) in zip(spans, spans[1:]):
+        if start < end:
+            raise FormatError(f"{path}: {a} and {b} overlap in the payload")
+    return extents
+
+
 def load_checkpoint(path, dtype=np.float32):
-    """Rebuild a model (and NormStats, metadata) from a checkpoint file."""
+    """Rebuild a model (and NormStats, metadata) from a checkpoint file.
+
+    Every structural defect (a length past the end of the file, a manifest
+    that is not an object or lacks a key, an entry outside the payload or
+    overlapping another, non-finite weights or norm stats) is a FormatError.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != CKPT_MAGIC:
             raise FormatError(f"{path}: not a checkpoint (bad magic)")
         doc_len = int.from_bytes(fh.read(8), "little")
+        file_len = os.fstat(fh.fileno()).st_size
+        if doc_len > file_len - 16:
+            raise FormatError(
+                f"{path}: manifest length {doc_len} runs past the end of the {file_len}-byte file"
+            )
         try:
             manifest = json.loads(fh.read(doc_len))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise FormatError(f"{path}: manifest is not valid JSON: {e}") from e
         payload = fh.read()
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest is not a JSON object")
     if manifest.get("format_version") != CKPT_VERSION:
         raise FormatError(
             f"{path}: format version {manifest.get('format_version')}, "
             f"this build reads version {CKPT_VERSION}"
         )
-    index = manifest["params"]
-    declared = sum(int(np.prod(e["shape"])) * 4 for e in index.values())
+    for key in ("model", "params", "payload_bytes"):
+        if key not in manifest:
+            raise FormatError(f"{path}: manifest has no {key!r} key")
+    extents = _payload_extents(path, manifest["params"], len(payload))
+    declared = sum(end - start for _, start, end in extents.values())
     if len(payload) != declared or declared != manifest["payload_bytes"]:
         raise FormatError(
             f"{path}: payload is {len(payload)} bytes, index declares {declared}"
         )
-    model = DattModel.from_config_dict(manifest["model"], dtype=dtype)
+    try:
+        model = DattModel.from_config_dict(manifest["model"], dtype=dtype)
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"{path}: bad model config: {e!r}") from e
     entries = dict(_checkpoint_entries(model))
-    if set(entries) != set(index):
-        missing = set(entries) ^ set(index)
+    if set(entries) != set(extents):
+        missing = set(entries) ^ set(extents)
         raise FormatError(f"{path}: parameter index mismatch: {sorted(missing)[:5]}")
-    for name, meta in index.items():
-        shape = tuple(meta["shape"])
-        size = int(np.prod(shape)) * 4
-        arr = np.frombuffer(payload, dtype="<f4", count=size // 4, offset=meta["offset"])
+    for name, (shape, start, end) in extents.items():
+        arr = np.frombuffer(payload, dtype="<f4", count=(end - start) // 4, offset=start)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: {name} has non-finite values")
+        want = _entry_array((name, entries[name])).shape
+        if want != shape:
+            raise FormatError(f"{path}: {name} has shape {shape}, model wants {want}")
         arr = arr.reshape(shape).astype(dtype)
         obj = entries[name]
         if isinstance(obj, T.Tensor):
-            if obj.data.shape != shape:
-                raise FormatError(f"{path}: {name} has shape {shape}, model wants {obj.data.shape}")
             obj.data = arr
         else:
             setattr(obj, name.rsplit(".", 1)[1], arr)
     ns = manifest.get("norm_stats")
-    return (
-        model,
-        NormStats.from_dict(ns) if ns else None,
-        manifest.get("train_meta", {}),
-    )
+    if ns is not None:
+        try:
+            ns = NormStats.from_dict(ns)
+        except FormatError as e:
+            raise FormatError(f"{path}: {e}") from e
+    return model, ns, manifest.get("train_meta", {})

@@ -23,7 +23,7 @@ import numpy as np
 from . import tensor as T
 from .attention import mutual_attention_grid
 from .backbone import BatchNorm, Dense, Module
-from .errors import NumericError
+from .errors import FormatError, NumericError
 
 STD_FLOOR = 1e-6
 
@@ -106,17 +106,21 @@ class NormStats:
     mean_bin: float
     std_bin: float
 
+    KEYS = ("mean_cos", "std_cos", "mean_bin", "std_bin")
+
     def to_dict(self):
-        return {
-            "mean_cos": self.mean_cos,
-            "std_cos": self.std_cos,
-            "mean_bin": self.mean_bin,
-            "std_bin": self.std_bin,
-        }
+        return {k: float(getattr(self, k)) for k in self.KEYS}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["mean_cos"], d["std_cos"], d["mean_bin"], d["std_bin"])
+        """Stats from a checkpoint manifest: four finite floats, both stds > 0."""
+        vals = [d.get(k) for k in cls.KEYS] if isinstance(d, dict) else [None]
+        if not all(isinstance(v, float) and np.isfinite(v) for v in vals):
+            raise FormatError(f"norm stats need finite float {', '.join(cls.KEYS)}, got {d!r}")
+        ns = cls(*vals)
+        if ns.std_cos <= 0 or ns.std_bin <= 0:
+            raise FormatError(f"norm stats need stds > 0, got {d!r}")
+        return ns
 
 
 def _floored_std(values, name):

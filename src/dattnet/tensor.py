@@ -55,36 +55,6 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}{flag})"
 
-    # Operator sugar; scalars are promoted to constants of the same dtype.
-    def _coerce(self, other):
-        if isinstance(other, Tensor):
-            return other
-        return Tensor(np.asarray(other, dtype=self.data.dtype))
-
-    def __add__(self, other):
-        return add(self, self._coerce(other))
-
-    def __radd__(self, other):
-        return add(self._coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, self._coerce(other))
-
-    def __rsub__(self, other):
-        return sub(self._coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, self._coerce(other))
-
-    def __rmul__(self, other):
-        return mul(self._coerce(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, self._coerce(other))
-
-    def __neg__(self):
-        return mul(self, Tensor(np.asarray(-1.0, dtype=self.data.dtype)))
-
 
 def parameter(data, dtype=None):
     """A tracked leaf tensor."""
@@ -332,11 +302,12 @@ def _conv2d_grads(xp, wv, g, sh, sw, oh, ow, patches, need_dx=True):
     return gw, gx
 
 
-def conv2d(x, w, stride=(1, 1), pad=(0, 0), bias=None):
+def conv2d(x, w, stride=(1, 1), pad=(0, 0)):
     """2-d cross-correlation over (time, freq) with channels-last layout.
 
-    x: (T, F, Cin) or (B, T, F, Cin); w: (kh, kw, Cin, Cout); optional bias
-    per output channel.  Padding is zero-padding on both spatial axes.
+    x: (T, F, Cin) or (B, T, F, Cin); w: (kh, kw, Cin, Cout).  No bias: every
+    conv in the model feeds a batch norm, whose shift plays that role.
+    Padding is zero-padding on both spatial axes.
     """
     xv = x.data
     batched = xv.ndim == 4
@@ -369,8 +340,6 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), bias=None):
     else:
         patches = _conv_patches(xp, kh, kw, oh, ow, sh, sw)
         yv = (patches @ wv.reshape(-1, cout)).reshape(xv.shape[0], oh, ow, cout)
-    if bias is not None:
-        yv = yv + bias.data
     if not batched:
         yv = yv[0]
     out = Tensor(yv)
@@ -385,25 +354,21 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), bias=None):
                 gx = gx[0]
             _accum(x, gx)
         _accum(w, gw)
-        if bias is not None:
-            _accum(bias, gb.sum(axis=(0, 1, 2)))
 
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return _record(inputs, out, bwd)
+    return _record((x, w), out, bwd)
 
 
 # ---------------------------------------------------------------------------
 # pooling
 
 
-def pool2d(x, kind, kernel, stride=None, pad=(0, 0)):
-    """Max or average pooling per channel over (time, freq) windows.
+def pool2d(x, kernel, stride=None, pad=(0, 0)):
+    """Max pooling per channel over (time, freq) windows.
 
-    Max padding uses a -inf sentinel; average padding is excluded from the
-    divisor.  Max backward routes to the first (row-major) argmax.
+    `stride` defaults to the kernel.  Padding uses a -inf sentinel, so a
+    padded cell never wins.  Backward routes each output's gradient to the
+    first (row-major) maximum of its window.
     """
-    if kind not in ("max", "avg"):
-        raise InputError(f"unknown pool kind {kind!r}")
     xv = x.data
     batched = xv.ndim == 4
     if xv.ndim == 3:
@@ -422,57 +387,31 @@ def pool2d(x, kind, kernel, stride=None, pad=(0, 0)):
             f"stride {(sh, sw)}, pad {pad} -> {oh}x{ow}"
         )
     if ph or pw:
-        fill = -np.inf if kind == "max" else 0.0
-        xp = np.pad(xv, ((0, 0), (ph, ph), (pw, pw), (0, 0)), constant_values=fill)
+        xp = np.pad(xv, ((0, 0), (ph, ph), (pw, pw), (0, 0)), constant_values=-np.inf)
     else:
         xp = xv
+
     def tap(arr, ih, iw):
         return arr[:, ih : ih + (oh - 1) * sh + 1 : sh, iw : iw + (ow - 1) * sw + 1 : sw, :]
 
-    if kind == "max":
-        yv = tap(xp, 0, 0).copy()
-        # running argmax with strict >, so the first (row-major) maximum
-        # wins, matching a flat argmax; the tap index drives the backward
-        am = np.zeros(yv.shape, dtype=np.uint8 if kh * kw <= 256 else np.int32)
-        for k in range(1, kh * kw):
-            t = tap(xp, *divmod(k, kw))
-            np.copyto(am, k, where=t > yv)
-            np.maximum(yv, t, out=yv)
-
-        def scatter(g):
-            gx = np.zeros_like(xp)
-            for k in range(kh * kw):
-                ih, iw = divmod(k, kw)
-                dst = tap(gx, ih, iw)
-                dst += g * (am == k)
-            return gx
-
-    else:
-        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
-        win = win.reshape(win.shape[:4] + (kh * kw,))
-        if ph or pw:
-            ones = np.zeros((th + 2 * ph, tf + 2 * pw), dtype=xv.dtype)
-            ones[ph : ph + th, pw : pw + tf] = 1.0
-            counts = sliding_window_view(ones, (kh, kw))[::sh, ::sw].reshape(oh, ow, -1).sum(-1)
-            div = counts[None, :, :, None]
-        else:
-            div = np.asarray(float(kh * kw), dtype=xv.dtype)
-        yv = win.sum(axis=-1) / div
-
-        def scatter(g):
-            gd = g / div
-            gx = np.zeros_like(xp)
-            for k in range(kh * kw):
-                ih, iw = divmod(k, kw)
-                gx[:, ih : ih + (oh - 1) * sh + 1 : sh, iw : iw + (ow - 1) * sw + 1 : sw, :] += gd
-            return gx
-
+    yv = tap(xp, 0, 0).copy()
+    # running argmax with strict >, so the first (row-major) maximum wins,
+    # matching a flat argmax; the tap index drives the backward
+    am = np.zeros(yv.shape, dtype=np.uint8 if kh * kw <= 256 else np.int32)
+    for k in range(1, kh * kw):
+        t = tap(xp, *divmod(k, kw))
+        np.copyto(am, k, where=t > yv)
+        np.maximum(yv, t, out=yv)
     if not batched:
         yv = yv[0]
     out = Tensor(yv)
 
     def bwd(g):
-        gx = scatter(g if batched else g[None])
+        g = g if batched else g[None]
+        gx = np.zeros_like(xp)
+        for k in range(kh * kw):
+            dst = tap(gx, *divmod(k, kw))
+            dst += g * (am == k)
         if ph or pw:
             gx = gx[:, ph : ph + th, pw : pw + tf, :]
         _accum(x, gx if batched else gx[0])
@@ -500,13 +439,13 @@ class BNState:
         return self.gamma.data.shape[0]
 
 
-def batch_norm(x, state, mode="train", axes=None, update_running=True, act=None):
-    """Normalize over `axes` (default: all but the last/channel axis).
+def batch_norm(x, state, mode="train", act=None):
+    """Per-channel normalization over every axis but the last (channel) one.
 
-    Train mode uses batch statistics (biased variance) and, when
-    `update_running`, folds them into the running stats with the state's
-    momentum; infer mode normalizes with the running stats.  `act="relu"`
-    applies the rectifier in the same pass (equivalent to relu(batch_norm)).
+    Train mode normalizes with the batch statistics (biased variance) and
+    folds them into the running stats with the state's momentum; infer mode
+    normalizes with the running stats.  `act="relu"` applies the rectifier
+    in the same pass (equivalent to relu(batch_norm)).
     """
     xv = x.data
     c = xv.shape[-1]
@@ -514,76 +453,48 @@ def batch_norm(x, state, mode="train", axes=None, update_running=True, act=None)
         raise ShapeError(f"batch_norm: {c} channels vs state {state.channels}")
     if act not in (None, "relu"):
         raise InputError(f"unknown batch_norm activation {act!r}")
-    if axes is None:
-        axes = tuple(range(xv.ndim - 1))
     gamma, beta = state.gamma, state.beta
     eps = np.asarray(state.eps, dtype=xv.dtype)
 
     if mode == "train":
-        # flat (N, C) view when normalizing over all leading axes: lets the
-        # squared-sum reductions fuse without materializing extra temps
-        flat = None
-        if axes == tuple(range(xv.ndim - 1)) and xv.flags.c_contiguous:
-            flat = xv.reshape(-1, c)
-        if flat is not None:
-            n = flat.shape[0]
-            # einsum streams the column reduction several times faster than
-            # mean(axis=0) at these shapes
-            mu = np.einsum("nc->c", flat) / n
-            xc = flat - mu
-            var = np.einsum("nc,nc->c", xc, xc) / n
-        else:
-            mu = xv.mean(axis=axes)
-            xc = xv - mu
-            var = (xc * xc).mean(axis=axes)
-        if update_running:
-            m = state.momentum
-            state.running_mean = ((1 - m) * state.running_mean + m * mu).astype(xv.dtype)
-            state.running_var = ((1 - m) * state.running_var + m * var).astype(xv.dtype)
+        # flat (N, C) view: lets the squared-sum reductions fuse without
+        # materializing extra temps (a copy if x is not C-contiguous)
+        flat = xv.reshape(-1, c)
+        n = flat.shape[0]
+        # einsum streams the column reduction several times faster than
+        # mean(axis=0) at these shapes
+        mu = np.einsum("nc->c", flat) / n
+        xc = flat - mu
+        var = np.einsum("nc,nc->c", xc, xc) / n
+        m = state.momentum
+        state.running_mean = ((1 - m) * state.running_mean + m * mu).astype(xv.dtype)
+        state.running_var = ((1 - m) * state.running_var + m * var).astype(xv.dtype)
         invstd = 1.0 / np.sqrt(var + eps)
-        if flat is not None:
-            # keep xc unscaled and fold invstd into the affine scale; the
-            # backward reductions pick the invstd factor back up per channel
-            ov = xc * (invstd * gamma.data)
-            ov += beta.data
-            if act is not None:
-                np.maximum(ov, 0.0, out=ov)
-            out = Tensor(ov.reshape(xv.shape))
-        else:
-            xc *= invstd
-            xhat = xc
-            ov = xhat * gamma.data
-            ov += beta.data
-            if act is not None:
-                np.maximum(ov, 0.0, out=ov)
-            out = Tensor(ov)
+        # keep xc unscaled and fold invstd into the affine scale; the
+        # backward reductions pick the invstd factor back up per channel
+        ov = xc * (invstd * gamma.data)
+        ov += beta.data
+        if act is not None:
+            np.maximum(ov, 0.0, out=ov)
+        out = Tensor(ov.reshape(xv.shape))
 
         def bwd(g):
             if act is not None:
                 g = g * (out.data > 0)
-            if flat is not None:
-                # dxh = gf * gamma, so its sum and xc-projection are just
-                # gamma-scaled copies of the gf reductions: two fewer passes
-                n = flat.shape[0]
-                gf = g.reshape(-1, c)
-                s1 = np.einsum("nc->c", gf)
-                s2 = np.einsum("nc,nc->c", gf, xc)
-                _accum(beta, s1)
-                _accum(gamma, s2 * invstd)
-                if not x.requires_grad:
-                    return
-                gd = gamma.data
-                dx = gf * (gd * invstd)
-                dx -= xc * (s2 * gd / n * (invstd**3))
-                dx -= s1 * gd / n * invstd
-                _accum(x, dx.reshape(xv.shape))
+            # dxh = gf * gamma, so its sum and xc-projection are just
+            # gamma-scaled copies of the gf reductions: two fewer passes
+            gf = g.reshape(-1, c)
+            s1 = np.einsum("nc->c", gf)
+            s2 = np.einsum("nc,nc->c", gf, xc)
+            _accum(beta, s1)
+            _accum(gamma, s2 * invstd)
+            if not x.requires_grad:
                 return
-            _accum(beta, g.sum(axis=axes))
-            _accum(gamma, (g * xhat).sum(axis=axes))
-            dxh = g * gamma.data
-            dxh_mean = dxh.mean(axis=axes, keepdims=True)
-            proj = (dxh * xhat).mean(axis=axes, keepdims=True)
-            _accum(x, invstd * (dxh - dxh_mean - xhat * proj))
+            gd = gamma.data
+            dx = gf * (gd * invstd)
+            dx -= xc * (s2 * gd / n * (invstd**3))
+            dx -= s1 * gd / n * invstd
+            _accum(x, dx.reshape(xv.shape))
 
     elif mode == "infer":
         invstd = 1.0 / np.sqrt(state.running_var + eps)
@@ -597,6 +508,7 @@ def batch_norm(x, state, mode="train", axes=None, update_running=True, act=None)
         def bwd(g):
             if act is not None:
                 g = g * (out.data > 0)
+            axes = tuple(range(xv.ndim - 1))
             _accum(beta, g.sum(axis=axes))
             _accum(gamma, (g * xhat).sum(axis=axes))
             _accum(x, g * (gamma.data * invstd))
@@ -776,14 +688,11 @@ def l2_normalize(x, axis):
 
 
 def softmax_cross_entropy(logits, labels):
-    """Mean cross-entropy of softmax(logits) against integer labels."""
+    """Mean cross-entropy of softmax over (N, K) logits against N integer labels."""
     lv = logits.data
-    squeeze = lv.ndim == 1
-    if squeeze:
-        lv = lv[None]
     if lv.ndim != 2:
-        raise ShapeError(f"softmax_cross_entropy expects 1-d or 2-d logits, got {logits.data.shape}")
-    lab = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+        raise ShapeError(f"softmax_cross_entropy expects (N, K) logits, got {lv.shape}")
+    lab = np.asarray(labels, dtype=np.int64)
     n, k = lv.shape
     if lab.shape != (n,):
         raise ShapeError(f"labels shape {lab.shape} does not match batch {n}")
@@ -798,8 +707,7 @@ def softmax_cross_entropy(logits, labels):
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(n), lab] -= 1.0
-        gl = (float(g) / n) * p
-        _accum(logits, gl[0] if squeeze else gl)
+        _accum(logits, (float(g) / n) * p)
 
     return _record((logits,), out, bwd)
 

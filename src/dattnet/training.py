@@ -29,7 +29,7 @@ from .scoring import calibrate_norm_stats, pair_grid_scores
 @dataclass
 class TrainConfig:
     # optimization
-    speakers_per_batch: int = 64
+    speakers_per_batch: int = 10
     lambda_: float = 1.0
     loss_kind: str = "am_softmax"
     s: float = 30.0
@@ -61,6 +61,11 @@ class TrainConfig:
         self.blocks_per_stage = tuple(self.blocks_per_stage)
         if self.speakers_per_batch < 2:
             raise ConfigError(f"speakers_per_batch must be >= 2, got {self.speakers_per_batch}")
+        if self.speakers_per_batch > self.num_speakers:
+            raise ConfigError(
+                f"speakers_per_batch {self.speakers_per_batch} exceeds "
+                f"num_speakers {self.num_speakers}"
+            )
         if not 0.0 <= self.m < 1.0:
             raise ConfigError(f"margin m must be in [0, 1), got {self.m}")
         if self.s <= 0.0:
@@ -174,11 +179,6 @@ def build_pair_batch(corpus, cfg, rng):
 # losses
 
 
-def softmax_ce_loss(logits, labels):
-    """Mean cross-entropy over the batch (log-sum-exp stabilized)."""
-    return T.softmax_cross_entropy(logits, labels)
-
-
 def am_softmax_loss(embeddings, weight, labels, s, m):
     """Additive-margin softmax on cosine logits.
 
@@ -276,7 +276,7 @@ def pair_batch_losses(model, batch, cfg, mode, dropout_rng=None):
     if cfg.loss_kind == "am_softmax":
         loss_id = am_softmax_loss(feats.embedding, model.backbone.fc2.weight, labels, cfg.s, cfg.m)
     else:
-        loss_id = softmax_ce_loss(feats.logits, labels)
+        loss_id = T.softmax_cross_entropy(feats.logits, labels)
     if cfg.lambda_ == 0.0:
         return loss_id, None, loss_id
 

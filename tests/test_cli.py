@@ -156,6 +156,51 @@ class TestSynth:
             assert os.path.exists(t.utt1) and os.path.exists(t.utt2)
 
 
+def _split_checkpoint(raw):
+    doc_len = int.from_bytes(raw[8:16], "little")
+    return json.loads(raw[16 : 16 + doc_len]), raw[16 + doc_len :]
+
+
+def _join_checkpoint(manifest, payload, doc_len=None):
+    doc = json.dumps(manifest).encode()
+    n = len(doc) if doc_len is None else doc_len
+    return b"DATTCKP1" + n.to_bytes(8, "little") + doc + payload
+
+
+def _with_param(manifest, **meta):
+    """The manifest with its first index entry's fields replaced."""
+    first = sorted(manifest["params"])[0]
+    manifest["params"][first].update(meta)
+    return manifest
+
+
+def _with_stat(manifest, key, value):
+    manifest["norm_stats"][key] = value
+    return manifest
+
+
+def _overlapping(manifest):
+    a, b = sorted(manifest["params"].values(), key=lambda e: e["offset"])[:2]
+    b["offset"] = a["offset"]
+    return manifest
+
+
+# defect -> (manifest, payload) -> corrupted checkpoint bytes
+MALFORMED_CHECKPOINTS = {
+    "manifest without params": lambda man, pl: _join_checkpoint(
+        {k: v for k, v in man.items() if k != "params"}, pl),
+    "manifest is a JSON list": lambda man, pl: _join_checkpoint([man], pl),
+    "negative parameter offset": lambda man, pl: _join_checkpoint(_with_param(man, offset=-4), pl),
+    "parameter past the payload": lambda man, pl: _join_checkpoint(
+        _with_param(man, offset=len(pl)), pl),
+    "overlapping parameters": lambda man, pl: _join_checkpoint(_overlapping(man), pl),
+    "std_cos = 0": lambda man, pl: _join_checkpoint(_with_stat(man, "std_cos", 0.0), pl),
+    "std_bin = NaN": lambda man, pl: _join_checkpoint(_with_stat(man, "std_bin", math.nan), pl),
+    "manifest length 2^62": lambda man, pl: _join_checkpoint(man, pl, doc_len=2**62),
+    "NaN weight": lambda man, pl: _join_checkpoint(man, np.float32(np.nan).tobytes() + pl[4:]),
+}
+
+
 class TestEval:
     def test_scores_all_trials_and_prints_matching_eers(
         self, trained, corpus_dir, tmp_path, capsys
@@ -213,6 +258,25 @@ class TestEval:
         )
         assert rc != 0
         assert ":2:" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("defect", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_checkpoint_is_one_error_line(
+        self, defect, trained, corpus_dir, tmp_path, capsys
+    ):
+        with open(trained, "rb") as fh:
+            manifest, payload = _split_checkpoint(fh.read())
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(MALFORMED_CHECKPOINTS[defect](manifest, payload))
+        out_csv = tmp_path / "scores.csv"
+        rc = main(
+            ["eval", "--checkpoint", str(bad), "--trials", str(corpus_dir / "trials.txt"),
+             "--out", str(out_csv)]
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "bad.ckpt" in err[0]
         assert not out_csv.exists()
 
     def test_unreadable_utterance_skips_trial(self, trained, corpus_dir, tmp_path, capsys):

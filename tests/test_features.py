@@ -62,11 +62,6 @@ class TestComputeFbank:
         with pytest.raises(InputError):
             F.compute_fbank(np.zeros(399))
 
-    def test_cmvn_flag(self):
-        x = np.random.default_rng(2).normal(scale=0.1, size=16000)
-        f = F.compute_fbank(x, cmvn=True)
-        np.testing.assert_allclose(f.frames.mean(axis=0), 0, atol=1e-5)
-
 
 class TestPadOrCrop:
     def _mat(self, t, f=8, seed=0):

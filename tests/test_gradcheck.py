@@ -31,7 +31,6 @@ class TestUnitStage:
             "fc",
             "bn",
             "pool_max",
-            "pool_avg",
             "softmax",
             "attention_self",
             "attention_mutual",

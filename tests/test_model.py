@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dattnet import tensor as T
 from dattnet.backbone import BackboneConfig
 from dattnet.errors import FormatError, NumericError
 from dattnet.features import FBankMatrix
@@ -100,6 +101,20 @@ class TestModelBasics:
         rng = np.random.default_rng(1)
         rec = m.embed_utterance(random_fbank(rng, 180))
         assert rec.embedding.shape[0] == 1
+
+
+class TestSharedAttention:
+    def test_one_bn_update_per_attend(self):
+        # the shared stack runs once per group, so one train-mode attend
+        # moves its running mean by exactly one momentum step from zero
+        rng = np.random.default_rng(9)
+        m = tiny_model(shared_attention=True, dtype=np.float64)
+        f_raw = T.Tensor(rng.standard_normal((3, 5, TINY_CFG.channels[3])))
+        f_id = T.Tensor(rng.standard_normal((3, 5, TINY_CFG.num_f)))
+        h = m.attention.self_fc1(f_raw).data
+        m.attend(f_raw, f_id, "train")
+        want = 0.1 * h.reshape(-1, TINY_CFG.num_f).mean(axis=0)
+        assert_allclose(m.attention.self_bn.state.running_mean, want, rtol=1e-12, atol=1e-15)
 
 
 class TestScoreRecords:
@@ -199,7 +214,8 @@ class TestCheckpoint:
         f1, f2 = random_fbank(rng, 520), random_fbank(rng, 500)
         save_checkpoint(tmp_path / "m.ckpt", m)
         m2, _, _ = load_checkpoint(tmp_path / "m.ckpt")
-        assert m.score_pair_raw(f1, f2) == m2.score_pair_raw(f1, f2)
+        got = [mm.score_records(mm.embed_utterance(f1), mm.embed_utterance(f2)) for mm in (m, m2)]
+        assert got[0] == got[1]
 
     def test_save_is_deterministic(self, tmp_path):
         m = tiny_model()

@@ -67,9 +67,9 @@ class TestBroadcastOps:
         a = T.parameter(rng.normal(size=(3, 4)))
         b = T.parameter(rng.normal(size=(3, 4)))
         with T.GraphTape() as tape:
-            c = a + b
-            d = a * b
-            loss = T.sum_over(c + d)
+            c = T.add(a, b)
+            d = T.mul(a, b)
+            loss = T.sum_over(T.add(c, d))
         T.backward(loss, tape)
         # a feeds two downstream ops: gradients add
         np.testing.assert_allclose(a.grad, 1.0 + b.data)
@@ -156,11 +156,10 @@ class TestConv2d:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(6, 5, 2))
         w = rng.normal(size=(3, 3, 2, 3))
-        b = rng.normal(size=3)
         check_grads(
-            lambda xx, ww, bb: T.sum_over(T.mul(T.conv2d(xx, ww, (2, 1), (1, 1), bias=bb),
-                                                T.conv2d(xx, ww, (2, 1), (1, 1), bias=bb))),
-            [x, w, b],
+            lambda xx, ww: T.sum_over(T.mul(T.conv2d(xx, ww, (2, 1), (1, 1)),
+                                            T.conv2d(xx, ww, (2, 1), (1, 1)))),
+            [x, w],
         )
 
     def test_batched_grads(self):
@@ -181,36 +180,24 @@ class TestConv2d:
 class TestPool2d:
     def test_max_forward(self):
         x = np.arange(16, dtype=np.float64).reshape(4, 4, 1)
-        y = T.pool2d(T.Tensor(x), "max", (2, 2), (2, 2)).data
+        y = T.pool2d(T.Tensor(x), (2, 2), (2, 2)).data
         np.testing.assert_array_equal(y[..., 0], [[5, 7], [13, 15]])
-
-    def test_avg_pad_excluded(self):
-        # padded cells do not count toward the average divisor
-        x = np.ones((2, 2, 1))
-        y = T.pool2d(T.Tensor(x), "avg", (3, 3), (1, 1), (1, 1)).data
-        np.testing.assert_allclose(y[..., 0], np.ones((2, 2)))
 
     def test_max_pad_sentinel(self):
         x = -np.ones((2, 2, 1))
-        y = T.pool2d(T.Tensor(x), "max", (3, 3), (2, 2), (1, 1)).data
+        y = T.pool2d(T.Tensor(x), (3, 3), (2, 2), (1, 1)).data
         np.testing.assert_allclose(y[..., 0], -np.ones((1, 1)))
 
     def test_max_grads(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(7, 6, 2))
-        check_grads(lambda xx: T.sum_over(T.mul(T.pool2d(xx, "max", (3, 3), (2, 2), (1, 1)),
-                                                T.pool2d(xx, "max", (3, 3), (2, 2), (1, 1)))), [x])
-
-    def test_avg_grads(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(2, 7, 6, 2))
-        check_grads(lambda xx: T.sum_over(T.mul(T.pool2d(xx, "avg", (3, 1), (2, 1), (1, 0)),
-                                                T.pool2d(xx, "avg", (3, 1), (2, 1), (1, 0)))), [x])
+        check_grads(lambda xx: T.sum_over(T.mul(T.pool2d(xx, (3, 3), (2, 2), (1, 1)),
+                                                T.pool2d(xx, (3, 3), (2, 2), (1, 1)))), [x])
 
     def test_max_tie_first_wins(self):
         x = T.parameter(np.zeros((2, 2, 1)))
         with T.GraphTape() as tape:
-            loss = T.sum_over(T.pool2d(x, "max", (2, 2)))
+            loss = T.sum_over(T.pool2d(x, (2, 2)))
         T.backward(loss, tape)
         want = np.zeros((2, 2, 1))
         want[0, 0, 0] = 1.0
@@ -249,7 +236,7 @@ class TestBatchNorm:
         def build(xx, gg, bb):
             st = T.BNState(3, dtype=np.float64)
             st.gamma, st.beta = gg, bb
-            y = T.batch_norm(xx, st, "train", update_running=False)
+            y = T.batch_norm(xx, st, "train")
             return T.sum_over(T.mul(y, y))
 
         check_grads(build, [x, g, b])
@@ -263,7 +250,7 @@ class TestBatchNorm:
         def build(xx, gg, bb):
             st = T.BNState(2, dtype=np.float64)
             st.gamma, st.beta = gg, bb
-            y = T.batch_norm(xx, st, "train", update_running=False)
+            y = T.batch_norm(xx, st, "train")
             return T.sum_over(T.mul(y, y))
 
         check_grads(build, [x, g, b])
@@ -283,12 +270,13 @@ class TestBatchNorm:
 
     def test_fused_relu_matches_separate(self):
         # fused act="relu" must be bit-identical to relu(batch_norm(..)),
-        # forward and every gradient, on all three internal paths
+        # forward and every gradient, in both modes and for 2-d, 4-d and
+        # non-contiguous (copied to a flat (N, C) view) train inputs
         rng = np.random.default_rng(19)
         cases = [
-            (rng.normal(size=(12, 5)), "train"),  # flat 2D
-            (rng.normal(size=(3, 4, 2, 5)), "train"),  # flat 4D
-            (np.asfortranarray(rng.normal(size=(6, 5))), "train"),  # generic
+            (rng.normal(size=(12, 5)), "train"),  # 2D
+            (rng.normal(size=(3, 4, 2, 5)), "train"),  # 4D
+            (np.asfortranarray(rng.normal(size=(6, 5))), "train"),  # non-contiguous
             (rng.normal(size=(7, 5)), "infer"),
         ]
         for x, mode in cases:
@@ -305,9 +293,9 @@ class TestBatchNorm:
                 xx = T.parameter(x.copy(order="K"))
                 with T.GraphTape() as tape:
                     if fused:
-                        y = T.batch_norm(xx, st, mode, update_running=False, act="relu")
+                        y = T.batch_norm(xx, st, mode, act="relu")
                     else:
-                        y = T.relu(T.batch_norm(xx, st, mode, update_running=False))
+                        y = T.relu(T.batch_norm(xx, st, mode))
                     loss = T.sum_over(T.mul(y, T.Tensor(w)))
                 T.backward(loss, tape)
                 return y.data, xx.grad, st.gamma.grad, st.beta.grad
@@ -459,6 +447,9 @@ class TestLosses:
         from dattnet.errors import InputError
         with pytest.raises(InputError):
             T.softmax_cross_entropy(T.Tensor(np.zeros((2, 3))), np.array([0, 3]))
+        # logits must be (N, K): a single 1-d row is rejected, not squeezed
+        with pytest.raises(ShapeError):
+            T.softmax_cross_entropy(T.Tensor(np.zeros(3)), np.array([0]))
 
     def test_bce_known_value(self):
         p = T.Tensor(np.array([0.9, 0.1]))
@@ -523,11 +514,6 @@ class TestHandExamples:
         w = np.ones((3, 3, 1, 1))
         out = T.conv2d(T.Tensor(x), T.Tensor(w), (1, 1), (1, 1)).data
         assert out[1, 1, 0] == 9.0
-
-    def test_avg_full_extent(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
-        out = T.pool2d(T.Tensor(x), "avg", (2, 2)).data
-        np.testing.assert_allclose(out, [[[2.5]]])
 
     def test_bn_infer_identity(self):
         st = T.BNState(3, dtype=np.float64)
@@ -622,7 +608,7 @@ class TestTape:
 
             def build(xx, ww):
                 h = T.relu(T.matmul(xx, ww))
-                s = T.softmax_over_axis(h + T.Tensor(np.full_like(h.data, 0.1)), 1)
+                s = T.softmax_over_axis(T.add(h, T.Tensor(np.full_like(h.data, 0.1))), 1)
                 return T.mean_over(T.mul(s, s))
 
             check_grads(build, [x, w])

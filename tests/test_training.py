@@ -23,7 +23,6 @@ from dattnet.training import (
     lr_at,
     pair_batch_losses,
     sgd_step,
-    softmax_ce_loss,
     train_model,
     train_step,
 )
@@ -73,6 +72,7 @@ class TestTrainConfig:
     def test_validation(self):
         for bad in (
             dict(speakers_per_batch=1),
+            dict(speakers_per_batch=11, num_speakers=10),
             dict(m=1.0),
             dict(m=-0.1),
             dict(s=0.0),
@@ -140,7 +140,8 @@ class TestPairBatch:
         assert not np.array_equal(batch.group1, batch.group2)
 
     def test_too_few_speakers(self):
-        cfg = tiny_cfg(speakers_per_batch=5)
+        # a valid 5-speaker config fed a 3-speaker corpus it was not built from
+        cfg = tiny_cfg(speakers_per_batch=5, num_speakers=5)
         corpus = tiny_corpus(tiny_cfg())
         with pytest.raises(ConfigError, match="speakers"):
             build_pair_batch(corpus, cfg, np.random.default_rng(0))
@@ -163,7 +164,7 @@ class TestLosses:
             n, c = int(rng.integers(2, 9)), int(rng.integers(2, 7))
             z = rng.standard_normal((n, c))
             y = rng.integers(0, c, n)
-            loss = softmax_ce_loss(T.Tensor(z), y)
+            loss = T.softmax_cross_entropy(T.Tensor(z), y)
             lse = np.log(np.exp(z - z.max(axis=1, keepdims=True)).sum(axis=1)) + z.max(axis=1)
             want = float(np.mean(lse - z[np.arange(n), y]))
             assert abs(loss.item() - want) <= 1e-10
@@ -179,7 +180,7 @@ class TestLosses:
             loss = am_softmax_loss(T.Tensor(e), T.Tensor(w), y, s, 0.0)
             en = e / np.linalg.norm(e, axis=1, keepdims=True)
             wn = w / np.linalg.norm(w, axis=0, keepdims=True)
-            want = softmax_ce_loss(T.Tensor(s * (en @ wn)), y)
+            want = T.softmax_cross_entropy(T.Tensor(s * (en @ wn)), y)
             assert abs(loss.item() - want.item()) <= 1e-10
 
     def test_am_softmax_equal_cosine_two_class(self):
@@ -353,7 +354,7 @@ class TestPairBatchLosses:
             np.concatenate([batch.group1, batch.group2]), "infer"
         )
         labels = np.concatenate([batch.speaker_ids, batch.speaker_ids])
-        want = softmax_ce_loss(feats.logits, labels)
+        want = T.softmax_cross_entropy(feats.logits, labels)
         assert abs(loss_id.item() - want.item()) <= 1e-6
 
     def test_infer_binary_loss_matches_eval_scores(self):
