@@ -15,8 +15,6 @@ in one broadcast pass, by giving mutual attention a group axis on each side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -106,16 +104,3 @@ def mutual_attention_grid(f_att_1, f_id_1, f_self_2):
         T.reshape(f_self_2, (1, -1, 1, nf)),
     )[1]
 
-
-@dataclass
-class UtteranceAttention:
-    w_self: T.Tensor
-    f_self: T.Tensor
-    w_mutual: T.Tensor
-    f_mutual: T.Tensor
-
-
-@dataclass
-class PairAttention:
-    u1: UtteranceAttention
-    u2: UtteranceAttention

@@ -37,6 +37,8 @@ class BackboneConfig:
             raise ConfigError(f"mel_bins must be divisible by 16, got {self.mel_bins}")
         if len(self.channels) != 4 or len(self.blocks_per_stage) != 4:
             raise ConfigError("channels and blocks_per_stage must each have 4 entries")
+        if min(self.channels) < 1:
+            raise ConfigError(f"channels must all be >= 1, got {self.channels}")
         if self.num_f < 1:
             raise ConfigError(f"num_f must be >= 1, got {self.num_f}")
         if self.num_id < 2:
@@ -81,9 +83,7 @@ def he_normal(rng, shape, fan_in, dtype):
 class Conv2d(Module):
     """Cross-correlation layer; no bias (normalization always follows)."""
 
-    def __init__(self, rng, kh, kw, cin, cout, stride=(1, 1), pad=None, dtype=np.float32):
-        if pad is None:
-            pad = (kh // 2, kw // 2)  # "same" for stride 1
+    def __init__(self, rng, kh, kw, cin, cout, stride, pad, dtype=np.float32):
         self.weight = he_normal(rng, (kh, kw, cin, cout), kh * kw * cin, dtype)
         self.stride = stride
         self.pad = pad

@@ -65,18 +65,15 @@ def _write_log_csv(path, log):
             writer = csv.writer(fh)
             writer.writerow(LOG_COLUMNS)
             for row in log:
-                writer.writerow(
-                    ["" if row[c] is None else row[c] for c in LOG_COLUMNS]
-                )
+                writer.writerow([row[c] for c in LOG_COLUMNS])
 
     atomic_write(path, emit)
 
 
 def _format_row(row):
-    lb = "      " if row["loss_binary"] is None else f"{row['loss_binary']:.4f}"
     return (
         f"step {row['step']:4d} epoch {row['epoch']:2d} "
-        f"loss_id {row['loss_id']:.4f} loss_binary {lb} "
+        f"loss_id {row['loss_id']:.4f} loss_binary {row['loss_binary']:.4f} "
         f"loss_all {row['loss_all']:.4f} lr {row['lr_backbone']:.5f}"
     )
 

@@ -66,22 +66,17 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels=N_MELS, n_fft=N_FFT, sample_rate=SAMPLE_RATE, fmin=0.0, fmax=None):
-    """Triangular mel filters (unnormalized) and their center frequencies.
-
-    Returns (weights: n_mels x (n_fft//2+1), centers_hz: n_mels).
-    """
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    edges_hz = _mel_to_hz(np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_mels + 2))
-    bin_hz = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
-    weights = np.zeros((n_mels, bin_hz.size), dtype=np.float64)
-    for m in range(n_mels):
+def mel_filterbank():
+    """N_MELS x (N_FFT//2+1) triangular mel filters (unnormalized), 0 Hz to Nyquist."""
+    edges_hz = _mel_to_hz(np.linspace(_hz_to_mel(0.0), _hz_to_mel(SAMPLE_RATE / 2.0), N_MELS + 2))
+    bin_hz = np.arange(N_FFT // 2 + 1) * (SAMPLE_RATE / N_FFT)
+    weights = np.zeros((N_MELS, bin_hz.size), dtype=np.float64)
+    for m in range(N_MELS):
         lo, center, hi = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
         rising = (bin_hz - lo) / (center - lo)
         falling = (hi - bin_hz) / (hi - center)
         weights[m] = np.maximum(0.0, np.minimum(rising, falling))
-    return weights, edges_hz[1:-1].copy()
+    return weights
 
 
 def compute_fbank(audio, sample_rate=SAMPLE_RATE):
@@ -93,7 +88,7 @@ def compute_fbank(audio, sample_rate=SAMPLE_RATE):
         raise InputError(f"need at least {FRAME_LEN} samples (one frame), got {x.size}")
     n_frames = 1 + (x.size - FRAME_LEN) // FRAME_HOP
     window = hann_window(FRAME_LEN)
-    mel, _ = mel_filterbank()
+    mel = mel_filterbank()
     out = np.empty((n_frames, N_MELS), dtype=np.float64)
     # per-frame transform keeps frames bit-identical under hop-aligned shifts
     for i in range(n_frames):

@@ -9,8 +9,11 @@ Checkpoints are a small binary container: an 8-byte magic, a little-endian
 u64 manifest length, a JSON manifest (format version, model config, a
 name -> shape/byte-offset index over every parameter and normalization
 buffer, score-normalization stats, training metadata), then the
-concatenated little-endian float32 payload.  Files are written to a
-temporary name and renamed, so failures never leave partial checkpoints.
+concatenated little-endian float32 payload.  The payload has one layout,
+decided by `_layout` alone: save writes that index, and load accepts a file
+only if its index is exactly the one `_layout` gives for the model its
+config builds.  Files are written to a temporary name and renamed, so
+failures never leave partial checkpoints.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -57,26 +60,24 @@ class DattModel(Module):
         self.dtype = np.dtype(dtype)
 
     def config_dict(self):
+        """The BackboneConfig fields, then shared_attention and dropout_rate."""
         return {
-            "mel_bins": self.cfg.mel_bins,
-            "channels": list(self.cfg.channels),
-            "blocks_per_stage": list(self.cfg.blocks_per_stage),
-            "num_f": self.cfg.num_f,
-            "num_id": self.cfg.num_id,
+            **asdict(self.cfg),
             "shared_attention": self.shared_attention,
             "dropout_rate": self.dropout_rate,
         }
 
+    @staticmethod
+    def backbone_config(d):
+        """The BackboneConfig of a config_dict; JSON lists become tuples."""
+        return BackboneConfig(**{
+            f.name: tuple(d[f.name]) if isinstance(d[f.name], list) else d[f.name]
+            for f in fields(BackboneConfig)
+        })
+
     @classmethod
     def from_config_dict(cls, d, seed=0, dtype=np.float32):
-        cfg = BackboneConfig(
-            mel_bins=d["mel_bins"],
-            channels=tuple(d["channels"]),
-            blocks_per_stage=tuple(d["blocks_per_stage"]),
-            num_f=d["num_f"],
-            num_id=d["num_id"],
-        )
-        return cls(cfg, seed, d["shared_attention"], d["dropout_rate"], dtype)
+        return cls(cls.backbone_config(d), seed, d["shared_attention"], d["dropout_rate"], dtype)
 
     def param_groups(self):
         """(backbone params, attention + binary-head params) for the LR split."""
@@ -150,21 +151,34 @@ def _entry_array(entry):
     return getattr(obj, name.rsplit(".", 1)[1])
 
 
-def save_checkpoint(path, model, norm_stats=None, train_meta=None):
-    entries = _checkpoint_entries(model)
+def _layout(entries):
+    """(index, payload bytes) of the one payload layout: the entries' float32
+    arrays back to back in entry order, indexed as name -> shape, byte offset."""
     index = {}
     offset = 0
-    blobs = []
     for entry in entries:
-        arr = np.ascontiguousarray(_entry_array(entry), dtype="<f4")
-        index[entry[0]] = {"shape": list(arr.shape), "offset": offset}
-        blobs.append(arr.tobytes())
-        offset += arr.nbytes
+        shape = _entry_array(entry).shape
+        index[entry[0]] = {"shape": list(shape), "offset": offset}
+        offset += math.prod(shape) * 4
+    return index, offset
+
+
+def _param_bytes_floor(cfg):
+    """Payload bytes of tensors every model of cfg holds: freq_conv, each
+    block's second 3x3 conv, fc1, the attention self_fc2 and fc2."""
+    c, nf = cfg.channels, cfg.num_f
+    convs = sum(9 * n * w * w for n, w in zip(cfg.blocks_per_stage, c))
+    return 4 * (cfg.mel_bins * cfg.mel_bins + convs + c[3] * nf + nf * nf + nf * cfg.num_id)
+
+
+def save_checkpoint(path, model, norm_stats=None, train_meta=None):
+    entries = _checkpoint_entries(model)
+    index, payload_bytes = _layout(entries)
     manifest = {
         "format_version": CKPT_VERSION,
         "model": model.config_dict(),
         "params": index,
-        "payload_bytes": offset,
+        "payload_bytes": payload_bytes,
         "norm_stats": norm_stats.to_dict() if norm_stats is not None else None,
         "train_meta": train_meta or {},
     }
@@ -175,49 +189,19 @@ def save_checkpoint(path, model, norm_stats=None, train_meta=None):
             fh.write(CKPT_MAGIC)
             fh.write(len(doc).to_bytes(8, "little"))
             fh.write(doc)
-            for blob in blobs:
-                fh.write(blob)
+            for entry in entries:
+                fh.write(np.ascontiguousarray(_entry_array(entry), dtype="<f4").tobytes())
 
     atomic_write(path, emit)
-
-
-def _is_count(v):
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
-def _payload_extents(path, index, payload_len):
-    """name -> (shape, start, end) byte extents of a parameter index.
-
-    Every entry needs a shape and an offset of non-negative ints; its extent
-    must lie inside the payload and overlap no other entry's.
-    """
-    if not isinstance(index, dict):
-        raise FormatError(f"{path}: manifest params is not an object")
-    extents = {}
-    for name, meta in index.items():
-        meta = meta if isinstance(meta, dict) else {}
-        shape, start = meta.get("shape"), meta.get("offset")
-        if not (isinstance(shape, list) and all(map(_is_count, shape)) and _is_count(start)):
-            raise FormatError(f"{path}: {name}: index entry needs a shape and an offset of counts")
-        end = start + math.prod(shape) * 4
-        if end > payload_len:
-            raise FormatError(
-                f"{path}: {name}: bytes [{start}, {end}) lie outside the {payload_len}-byte payload"
-            )
-        extents[name] = (tuple(shape), start, end)
-    spans = sorted((start, end, name) for name, (_, start, end) in extents.items())
-    for (_, end, a), (start, _, b) in zip(spans, spans[1:]):
-        if start < end:
-            raise FormatError(f"{path}: {a} and {b} overlap in the payload")
-    return extents
 
 
 def load_checkpoint(path, dtype=np.float32):
     """Rebuild a model (and NormStats, metadata) from a checkpoint file.
 
-    Every structural defect (a length past the end of the file, a manifest
-    that is not an object or lacks a key, an entry outside the payload or
-    overlapping another, non-finite weights or norm stats) is a FormatError.
+    The file is accepted only if its index is the one `_layout` gives for
+    the model its config builds and its payload is exactly that long.  Any
+    other file is a FormatError, raised before the model is allocated when
+    its config needs more bytes than the payload holds.
     """
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -244,29 +228,29 @@ def load_checkpoint(path, dtype=np.float32):
     for key in ("model", "params", "payload_bytes"):
         if key not in manifest:
             raise FormatError(f"{path}: manifest has no {key!r} key")
-    extents = _payload_extents(path, manifest["params"], len(payload))
-    declared = sum(end - start for _, start, end in extents.values())
-    if len(payload) != declared or declared != manifest["payload_bytes"]:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, index declares {declared}"
-        )
     try:
+        floor = _param_bytes_floor(DattModel.backbone_config(manifest["model"]))
+        if floor > len(payload):  # checked before anything is allocated
+            raise ValueError(f"needs at least {floor} payload bytes, the file has {len(payload)}")
         model = DattModel.from_config_dict(manifest["model"], dtype=dtype)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad model config: {e!r}") from e
-    entries = dict(_checkpoint_entries(model))
-    if set(entries) != set(extents):
-        missing = set(entries) ^ set(extents)
-        raise FormatError(f"{path}: parameter index mismatch: {sorted(missing)[:5]}")
-    for name, (shape, start, end) in extents.items():
-        arr = np.frombuffer(payload, dtype="<f4", count=(end - start) // 4, offset=start)
+    entries = _checkpoint_entries(model)
+    index, payload_bytes = _layout(entries)
+    got = manifest["params"] if isinstance(manifest["params"], dict) else {}
+    if got != index:  # name the first entry laid out differently, else the first extra
+        name = next(n for n in [*index, *got] if n not in index or got.get(n) != index[n])
+        raise FormatError(f"{path}: parameter index mismatch at {name}: "
+                          f"{got.get(name)} in the file, {index.get(name)} in the model")
+    if len(payload) != payload_bytes or manifest["payload_bytes"] != payload_bytes:
+        raise FormatError(f"{path}: payload is {len(payload)} bytes, payload_bytes says "
+                          f"{manifest['payload_bytes']}, the index declares {payload_bytes}")
+    for name, obj in entries:
+        shape, offset = index[name]["shape"], index[name]["offset"]
+        arr = np.frombuffer(payload, dtype="<f4", count=math.prod(shape), offset=offset)
         if not np.isfinite(arr).all():
             raise FormatError(f"{path}: {name} has non-finite values")
-        want = _entry_array((name, entries[name])).shape
-        if want != shape:
-            raise FormatError(f"{path}: {name} has shape {shape}, model wants {want}")
         arr = arr.reshape(shape).astype(dtype)
-        obj = entries[name]
         if isinstance(obj, T.Tensor):
             obj.data = arr
         else:

@@ -90,15 +90,6 @@ def pair_grid_scores(a, b, head, mode="infer", rng=None):
     return binary_head_scores(x, head, mode, rng)
 
 
-def binary_score(pa, params, mode="infer", rng=None):
-    """Similarity of one attended pair, in [0, 1]."""
-    x = pair_difference_product(
-        pa.u1.f_self, pa.u2.f_self, pa.u1.f_mutual, pa.u2.f_mutual
-    )
-    x = T.reshape(x, (1, x.data.shape[-1]))
-    return float(binary_head_scores(x, params, mode, rng).data[0])
-
-
 @dataclass
 class NormStats:
     mean_cos: float

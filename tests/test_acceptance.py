@@ -13,12 +13,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dattnet import tensor as T
-from dattnet.attention import (
-    PairAttention,
-    UtteranceAttention,
-    mutual_attention,
-    self_attention,
-)
+from dattnet.attention import mutual_attention, self_attention
 from dattnet.backbone import BackboneConfig
 from dattnet.cli import main
 from dattnet.evaluation import Trial, compute_eer, run_eval, score_trial, segment_utterance
@@ -29,8 +24,8 @@ from dattnet.scoring import (
     BinaryHeadParams,
     NormStats,
     binary_head_scores,
-    binary_score,
     fuse_scores,
+    pair_difference_product,
 )
 from dattnet.training import TrainConfig, am_softmax_prob, train_model
 
@@ -226,17 +221,14 @@ def test_c05_scores_are_order_symmetric():
     st.gamma.data[:] = rng.normal(size=nf)
     st.beta.data[:] = rng.normal(size=nf)
     for _ in range(200):
-        def utt():
-            return UtteranceAttention(
-                None,
-                T.Tensor(rng.normal(size=nf)),
-                None,
-                T.Tensor(rng.normal(size=nf)),
-            )
+        def binary_score(s1, s2, m1, m2):
+            x = pair_difference_product(s1, s2, m1, m2)
+            return float(binary_head_scores(T.reshape(x, (1, -1)), params).data[0])
 
-        pa = PairAttention(utt(), utt())
-        fwd = binary_score(pa, params)
-        rev = binary_score(PairAttention(pa.u2, pa.u1), params)
+        # (f_self, f_mutual) of utterance 1, then of utterance 2
+        s1, m1, s2, m2 = (T.Tensor(rng.normal(size=nf)) for _ in range(4))
+        fwd = binary_score(s1, s2, m1, m2)
+        rev = binary_score(s2, s1, m2, m1)
         assert rev == fwd  # sign cancellation is exact
 
     model = DattModel(TINY_MODEL, seed=3)

@@ -185,3 +185,7 @@ class TestConfigValidation:
     def test_bad_channels(self):
         with pytest.raises(ConfigError):
             BackboneConfig(channels=(1, 2, 3))
+
+    def test_zero_width_stage(self):
+        with pytest.raises(ConfigError, match="channels"):
+            BackboneConfig(channels=(4, 0, 8, 8))

@@ -185,6 +185,26 @@ def _overlapping(manifest):
     return manifest
 
 
+def _swapped(manifest):
+    """The first two same-shaped neighbours in the payload trade offsets."""
+    entries = sorted(manifest["params"].values(), key=lambda e: e["offset"])
+    a, b = next((a, b) for a, b in zip(entries, entries[1:]) if a["shape"] == b["shape"])
+    a["offset"], b["offset"] = b["offset"], a["offset"]
+    return manifest
+
+
+def _reshaped(manifest):
+    """The first index entry gains a trailing axis of 1: same bytes, another shape."""
+    first = manifest["params"][sorted(manifest["params"])[0]]
+    first["shape"] = first["shape"] + [1]
+    return manifest
+
+
+def _with_model(manifest, **conf):
+    manifest["model"].update(conf)
+    return manifest
+
+
 # defect -> (manifest, payload) -> corrupted checkpoint bytes
 MALFORMED_CHECKPOINTS = {
     "manifest without params": lambda man, pl: _join_checkpoint(
@@ -198,6 +218,12 @@ MALFORMED_CHECKPOINTS = {
     "std_bin = NaN": lambda man, pl: _join_checkpoint(_with_stat(man, "std_bin", math.nan), pl),
     "manifest length 2^62": lambda man, pl: _join_checkpoint(man, pl, doc_len=2**62),
     "NaN weight": lambda man, pl: _join_checkpoint(man, np.float32(np.nan).tobytes() + pl[4:]),
+    "same-shape entries with swapped offsets": lambda man, pl: _join_checkpoint(_swapped(man), pl),
+    "entry with a changed shape": lambda man, pl: _join_checkpoint(_reshaped(man), pl),
+    "model.mel_bins = 30": lambda man, pl: _join_checkpoint(_with_model(man, mel_bins=30), pl),
+    # rejected on its size alone: building this model would exhaust memory
+    "num_f = channels[3] = 10^9": lambda man, pl: _join_checkpoint(
+        _with_model(man, num_f=10**9, channels=man["model"]["channels"][:3] + [10**9]), pl),
 }
 
 

@@ -15,10 +15,13 @@ from dattnet.model import (
     UtteranceRecord,
     _checkpoint_entries,
     _entry_array,
+    _layout,
+    _param_bytes_floor,
     load_checkpoint,
     save_checkpoint,
 )
 from dattnet.scoring import NormStats
+from dattnet.training import TrainConfig
 
 TINY_CFG = BackboneConfig(
     mel_bins=32, channels=(4, 4, 8, 8), blocks_per_stage=(1, 1, 1, 1), num_f=8, num_id=3
@@ -258,6 +261,37 @@ class TestCheckpoint:
         rewrite_manifest(path, rename_first)
         with pytest.raises(FormatError, match="index"):
             load_checkpoint(path)
+
+    def test_swapped_same_shape_offsets(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model())
+
+        def swap_bn_in(man):
+            gamma, beta = (man["params"][f"backbone.pre.bn_in.state.{k}"] for k in ("gamma", "beta"))
+            gamma["offset"], beta["offset"] = beta["offset"], gamma["offset"]
+
+        rewrite_manifest(path, swap_bn_in)
+        with pytest.raises(FormatError, match="index mismatch at backbone.pre.bn_in.state.gamma"):
+            load_checkpoint(path)
+
+    def test_oversized_config_rejected_before_building(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model())
+        rewrite_manifest(path, lambda man: man["model"].update(num_f=10**9, channels=[4, 4, 8, 10**9]))
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(DattModel, "__init__", no_build)
+        with pytest.raises(FormatError, match="payload bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cfg", [
+        TINY_CFG, TrainConfig.desk().backbone_config(), BackboneConfig()
+    ], ids=["tiny", "desk", "paper"])
+    def test_param_bytes_floor_is_below_the_layout(self, cfg):
+        _, payload_bytes = _layout(_checkpoint_entries(DattModel(cfg)))
+        assert 0 < _param_bytes_floor(cfg) <= payload_bytes
 
     def test_garbage_file(self, tmp_path):
         path = tmp_path / "junk.ckpt"

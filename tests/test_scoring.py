@@ -5,20 +5,23 @@ import pytest
 
 from dattnet import scoring as S
 from dattnet import tensor as T
-from dattnet.attention import PairAttention, UtteranceAttention
 from dattnet.errors import NumericError
 
 
 def make_pair(rng, num_f=8, dtype=np.float64):
+    """Two utterances, each an (f_self, f_mutual) pair of tensors."""
     def utt():
-        return UtteranceAttention(
-            w_self=None,
-            f_self=T.Tensor(rng.normal(size=num_f).astype(dtype)),
-            w_mutual=None,
-            f_mutual=T.Tensor(rng.normal(size=num_f).astype(dtype)),
-        )
+        f_self = T.Tensor(rng.normal(size=num_f).astype(dtype))
+        f_mutual = T.Tensor(rng.normal(size=num_f).astype(dtype))
+        return f_self, f_mutual
 
-    return PairAttention(utt(), utt())
+    return utt(), utt()
+
+
+def binary_score(u1, u2, head):
+    """The head's score of one pair, through the pair-grid head path."""
+    x = S.pair_difference_product(u1[0], u2[0], u1[1], u2[1])
+    return float(S.binary_head_scores(T.reshape(x, (1, -1)), head).data[0])
 
 
 def make_head(num_f=8, seed=0, dtype=np.float64):
@@ -59,19 +62,16 @@ class TestBinaryHead:
         rng = np.random.default_rng(2)
         head = make_head()
         for _ in range(200):
-            pa = make_pair(rng)
-            swapped = PairAttention(pa.u2, pa.u1)
-            assert S.binary_score(pa, head) == S.binary_score(swapped, head)
+            u1, u2 = make_pair(rng)
+            assert binary_score(u1, u2, head) == binary_score(u2, u1, head)
 
     def test_identical_utterances_constant(self):
         rng = np.random.default_rng(3)
         head = make_head()
-        pa = make_pair(rng)
-        same = PairAttention(pa.u1, pa.u1)
-        score = S.binary_score(same, head)
+        u1, u2 = make_pair(rng)
+        score = binary_score(u1, u1, head)
         # zero difference vector -> score depends only on head parameters
-        other = PairAttention(pa.u2, pa.u2)
-        assert S.binary_score(other, head) == score
+        assert binary_score(u2, u2, head) == score
         assert 0.0 < score < 1.0
 
     def test_formula_oracle(self):
@@ -80,11 +80,9 @@ class TestBinaryHead:
         head = make_head(seed=5)
         st = head.bn.state
         for _ in range(100):
-            pa = make_pair(rng)
-            got = S.binary_score(pa, head)
-            x = (pa.u1.f_self.data - pa.u2.f_self.data) * (
-                pa.u1.f_mutual.data - pa.u2.f_mutual.data
-            )
+            u1, u2 = make_pair(rng)
+            got = binary_score(u1, u2, head)
+            x = (u1[0].data - u2[0].data) * (u1[1].data - u2[1].data)
             xhat = (x - st.running_mean) / np.sqrt(st.running_var + st.eps)
             z = st.gamma.data * xhat + st.beta.data
             logit = z @ head.fc.weight.data[:, 0] + head.fc.bias.data[0]
