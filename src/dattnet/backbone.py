@@ -33,8 +33,8 @@ class BackboneConfig:
     num_id: int = 2
 
     def __post_init__(self):
-        if self.mel_bins % 16 != 0:
-            raise ConfigError(f"mel_bins must be divisible by 16, got {self.mel_bins}")
+        if self.mel_bins < 16 or self.mel_bins % 16 != 0:
+            raise ConfigError(f"mel_bins must be a positive multiple of 16, got {self.mel_bins}")
         if len(self.channels) != 4 or len(self.blocks_per_stage) != 4:
             raise ConfigError("channels and blocks_per_stage must each have 4 entries")
         if min(self.channels) < 1:

@@ -55,10 +55,16 @@ def _resolve(utt):
     return read_fbank(utt)
 
 
-def score_trial(trial, model, ns):
-    """Segment-averaged raw scores plus their fusion for one trial."""
-    r1 = model.embed_utterance(_resolve(trial.utt1))
-    r2 = model.embed_utterance(_resolve(trial.utt2))
+def score_trial(trial, model, ns, embed=None):
+    """Segment-averaged raw scores plus their fusion for one trial.
+
+    `embed` maps an utterance to its record; by default each utterance is
+    read and embedded afresh.
+    """
+    if embed is None:
+        def embed(utt):
+            return model.embed_utterance(_resolve(utt))
+    r1, r2 = embed(trial.utt1), embed(trial.utt2)
     cos, binary = model.score_records(r1, r2)
     return TrialScore(trial.label, cos, binary, fuse_scores(cos, binary, ns))
 
@@ -150,11 +156,7 @@ def run_eval(trials, model, ns, csv_path=None):
     rows, errors = [], []
     for idx, trial in enumerate(trials):
         try:
-            r1, r2 = embed(trial.utt1), embed(trial.utt2)
-            cos, binary = model.score_records(r1, r2)
-            rows.append(
-                (idx, TrialScore(trial.label, cos, binary, fuse_scores(cos, binary, ns)))
-            )
+            rows.append((idx, score_trial(trial, model, ns, embed)))
         except (FormatError, OSError) as e:
             errors.append((idx, str(e)))
     if csv_path is not None:

@@ -95,14 +95,19 @@ class GraphTape:
         return stack[-1] if stack else None
 
 
-def _record(inputs, out, backward_fn):
+def _recording(inputs):
+    """The tape that records an op on `inputs`, or None if nothing will."""
     tape = GraphTape.current()
-    if tape is None:
-        return out
-    if not any(t.requires_grad for t in inputs):
-        return out
-    out.requires_grad = True
-    tape._nodes.append((out, backward_fn))
+    if tape is None or not any(t.requires_grad for t in inputs):
+        return None
+    return tape
+
+
+def _record(inputs, out, backward_fn):
+    tape = _recording(inputs)
+    if tape is not None:
+        out.requires_grad = True
+        tape._nodes.append((out, backward_fn))
     return out
 
 
@@ -367,7 +372,8 @@ def pool2d(x, kernel, stride=None, pad=(0, 0)):
 
     `stride` defaults to the kernel.  Padding uses a -inf sentinel, so a
     padded cell never wins.  Backward routes each output's gradient to the
-    first (row-major) maximum of its window.
+    first (row-major) maximum of its window; the map of those maxima is
+    built only when a tape records the call, since nothing else reads it.
     """
     xv = x.data
     batched = xv.ndim == 4
@@ -397,10 +403,13 @@ def pool2d(x, kernel, stride=None, pad=(0, 0)):
     yv = tap(xp, 0, 0).copy()
     # running argmax with strict >, so the first (row-major) maximum wins,
     # matching a flat argmax; the tap index drives the backward
-    am = np.zeros(yv.shape, dtype=np.uint8 if kh * kw <= 256 else np.int32)
+    am = None
+    if _recording((x,)) is not None:
+        am = np.zeros(yv.shape, dtype=np.uint8 if kh * kw <= 256 else np.int32)
     for k in range(1, kh * kw):
         t = tap(xp, *divmod(k, kw))
-        np.copyto(am, k, where=t > yv)
+        if am is not None:
+            np.copyto(am, k, where=t > yv)
         np.maximum(yv, t, out=yv)
     if not batched:
         yv = yv[0]
@@ -444,8 +453,11 @@ def batch_norm(x, state, mode="train", act=None):
 
     Train mode normalizes with the batch statistics (biased variance) and
     folds them into the running stats with the state's momentum; infer mode
-    normalizes with the running stats.  `act="relu"` applies the rectifier
-    in the same pass (equivalent to relu(batch_norm)).
+    normalizes with the running stats.  Infer mode writes one buffer in the
+    reference order ((x - mean) * invstd) * gamma + beta, so its values are
+    those of that expression bit for bit when x and the state share a dtype.
+    `act="relu"` applies the rectifier in the same pass (equivalent to
+    relu(batch_norm)).
     """
     xv = x.data
     c = xv.shape[-1]
@@ -497,9 +509,11 @@ def batch_norm(x, state, mode="train", act=None):
             _accum(x, dx.reshape(xv.shape))
 
     elif mode == "infer":
+        mean = state.running_mean
         invstd = 1.0 / np.sqrt(state.running_var + eps)
-        xhat = (xv - state.running_mean) * invstd
-        ov = xhat * gamma.data
+        ov = np.subtract(xv, mean)
+        ov *= invstd
+        ov *= gamma.data
         ov += beta.data
         if act is not None:
             np.maximum(ov, 0.0, out=ov)
@@ -509,6 +523,7 @@ def batch_norm(x, state, mode="train", act=None):
             if act is not None:
                 g = g * (out.data > 0)
             axes = tuple(range(xv.ndim - 1))
+            xhat = (xv - mean) * invstd
             _accum(beta, g.sum(axis=axes))
             _accum(gamma, (g * xhat).sum(axis=axes))
             _accum(x, g * (gamma.data * invstd))

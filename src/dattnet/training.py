@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import BackboneConfig
-from .errors import ConfigError, InputError, NumericError, ShapeError
+from .errors import ConfigError, InputError, ShapeError
 from .features import generate_synthetic_corpus, pad_or_crop
 from .model import DattModel
 from .scoring import calibrate_norm_stats, pair_grid_scores
@@ -80,6 +80,7 @@ class TrainConfig:
             raise ConfigError(f"crop_frames must be >= 1, got {self.crop_frames}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        self.backbone_config()  # the model fields are checked here, not mid-run
 
     def backbone_config(self):
         return BackboneConfig(
@@ -119,14 +120,33 @@ def config_to_dict(cfg):
     return out
 
 
+def _is_int(v):
+    # bool subclasses int in Python, but a JSON true is not a count
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# TrainConfig field annotation -> (what a JSON value must be, its test)
+_JSON_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "tuple": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
+
+
 def config_from_dict(doc):
-    """Strict construction: every key must name a config field."""
-    known = {f.name for f in fields(TrainConfig)}
+    """Strict construction: every key must name a config field and hold a
+    value of that field's type."""
+    types = {f.name: f.type for f in fields(TrainConfig)}
     kwargs = {}
     for key, val in doc.items():
         field = _FIELD_FOR_KEY.get(key, key)
-        if field not in known:
+        if field not in types:
             raise ConfigError(f"unknown config key {key!r}")
+        what, fits = _JSON_TYPES[types[field]]
+        if not fits(val):
+            raise ConfigError(f"config key {key!r} must be {what}, got {val!r}")
         kwargs[field] = val
     return TrainConfig(**kwargs)
 
@@ -193,22 +213,6 @@ def am_softmax_loss(embeddings, weight, labels, s, m):
     margin[np.arange(n), np.asarray(labels, dtype=np.int64)] = m
     logits = T.mul(T.sub(cos, T.Tensor(margin)), T.Tensor(np.asarray(s, dtype=cos.data.dtype)))
     return T.softmax_cross_entropy(logits, labels)
-
-
-def am_softmax_prob(embedding, fc2_weights, label, s, m):
-    """Posterior of the true class for one embedding (rows = class vectors)."""
-    e = np.asarray(embedding, dtype=np.float64).reshape(-1)
-    w = np.asarray(fc2_weights, dtype=np.float64)
-    ne = np.linalg.norm(e)
-    nw = np.linalg.norm(w, axis=1)
-    if ne == 0.0 or (nw == 0.0).any():
-        raise NumericError("zero-norm embedding or class vector")
-    cos = (w @ e) / (nw * ne)
-    z = s * cos
-    z[label] = s * (cos[label] - m)
-    z -= z.max()
-    p = np.exp(z)
-    return float(p[label] / p.sum())
 
 
 def lr_at(step, total_steps, base_lr):

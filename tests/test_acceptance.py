@@ -27,7 +27,8 @@ from dattnet.scoring import (
     fuse_scores,
     pair_difference_product,
 )
-from dattnet.training import TrainConfig, am_softmax_prob, train_model
+from dattnet.training import TrainConfig, train_model
+from oracles import am_softmax_prob
 
 TINY_MODEL = BackboneConfig(
     mel_bins=16, channels=(2, 2, 4, 4), blocks_per_stage=(1, 1, 1, 1), num_f=4, num_id=3

@@ -51,7 +51,38 @@ def train_tiny(tmp_path, name="model.ckpt", **overrides):
     return ckpt, log
 
 
+# defect -> (config key, value); each must end in one error line naming the key
+MALFORMED_CONFIGS = {
+    "a string among the channels": ("channels", [4, "a", 8, 8]),
+    "three channel counts": ("channels", [4, 8, 8]),
+    "blocks_per_stage is a number": ("blocks_per_stage", 2),
+    "epochs is a string": ("epochs", "3"),
+    "epochs is fractional": ("epochs", 2.5),
+    "speakers_per_batch is true": ("speakers_per_batch", True),
+    "shared_attention is 1": ("shared_attention", 1),
+    "lambda is a string": ("lambda", "1"),
+    "loss_kind is a number": ("loss_kind", 3),
+    "mel_bins = 0": ("mel_bins", 0),
+}
+
+
 class TestTrain:
+    @pytest.mark.parametrize("defect", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_is_one_error_line(self, defect, tmp_path, capsys):
+        key, value = MALFORMED_CONFIGS[defect]
+        ckpt = tmp_path / "x.ckpt"
+        rc = main(["train", "--config", write_config(tmp_path, **{key: value}),
+                   "--checkpoint", str(ckpt)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert key in err[0]
+        assert not ckpt.exists()
+
+    def test_integers_fit_number_fields(self):
+        cfg = config_from_dict(dict(TINY, **{"lambda": 2, "s": 30, "dropout_rate": 0}))
+        assert (cfg.lambda_, cfg.s, cfg.dropout_rate) == (2, 30, 0)
+
     def test_writes_checkpoint_and_full_log(self, tmp_path, capsys):
         ckpt, log = train_tiny(tmp_path)
         assert os.path.exists(ckpt)

@@ -203,6 +203,23 @@ class TestPool2d:
         want[0, 0, 0] = 1.0
         np.testing.assert_array_equal(x.grad, want)
 
+    def test_values_do_not_depend_on_recording(self):
+        # only a recorded call builds the argmax map; the pooled values must
+        # be the same bits with no tape, under a tape, and under a tape that
+        # does not record the call (input without requires_grad)
+        rng = np.random.default_rng(20)
+        x = rng.integers(-2, 3, size=(3, 9, 7, 4)).astype(np.float32)  # many ties
+        args = ((3, 3), (2, 2), (1, 1))
+        free = T.pool2d(T.Tensor(x), *args)
+        with T.GraphTape() as tape:
+            recorded = T.pool2d(T.parameter(x), *args)
+            unrecorded = T.pool2d(T.Tensor(x), *args)
+        assert len(tape) == 1
+        assert recorded.requires_grad and not unrecorded.requires_grad
+        for y in (recorded, unrecorded):
+            assert y.data.dtype == free.data.dtype == np.float32
+            np.testing.assert_array_equal(y.data, free.data)
+
 
 class TestBatchNorm:
     def test_train_stats(self):
@@ -302,6 +319,30 @@ class TestBatchNorm:
 
             for a, b in zip(run(True), run(False)):
                 np.testing.assert_array_equal(a, b)
+
+    def test_infer_matches_reference_expression_bitwise(self):
+        # infer mode computes in one buffer; it must give exactly the bits of
+        # ((x - mean) * invstd) * gamma + beta in float32
+        rng = np.random.default_rng(21)
+        c = 6
+        cases = [
+            rng.normal(size=(40, c)),  # 2D
+            rng.normal(size=(3, 7, 5, c)),  # 4D
+            rng.normal(size=(2, 8, 10, c))[:, ::2, 1::3],  # non-contiguous
+        ]
+        for x in cases:
+            x = (3.0 * x + 0.5).astype(np.float32)
+            st = T.BNState(c)
+            st.gamma = T.parameter(rng.normal(size=c).astype(np.float32) + 1.0)
+            st.beta = T.parameter(rng.normal(size=c).astype(np.float32))
+            st.running_mean = rng.normal(size=c).astype(np.float32)
+            st.running_var = rng.uniform(0.2, 3.0, size=c).astype(np.float32)
+            invstd = 1.0 / np.sqrt(st.running_var + np.float32(st.eps))
+            want = ((x - st.running_mean) * invstd) * st.gamma.data + st.beta.data
+            for act, ref in ((None, want), ("relu", np.maximum(want, 0.0))):
+                y = T.batch_norm(T.Tensor(x), st, "infer", act=act).data
+                assert y.dtype == np.float32
+                np.testing.assert_array_equal(y, ref)
 
     def test_unknown_act_rejected(self):
         st = T.BNState(2, dtype=np.float64)

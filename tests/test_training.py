@@ -15,7 +15,6 @@ from dattnet.training import (
     SGD,
     TrainConfig,
     am_softmax_loss,
-    am_softmax_prob,
     build_pair_batch,
     config_from_dict,
     config_to_dict,
@@ -26,6 +25,7 @@ from dattnet.training import (
     train_model,
     train_step,
 )
+from oracles import am_softmax_prob
 
 TINY_KW = dict(
     mel_bins=32,
