@@ -139,7 +139,8 @@ def run_eval(trials, model, ns, csv_path=None):
     """Score a trial list and compute the three EERs.
 
     Each distinct utterance is embedded once and reused across trials.
-    Unreadable utterances skip their trial; skipped counts are reported.
+    Unreadable utterances and ones the model cannot take (a FormatError)
+    skip their trial; skipped counts are reported.
     Aggregation is order-independent (rows keyed by trial index).
     """
     if not trials:

@@ -21,20 +21,35 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .attention import AttentionParams, compute_f_att, self_attention
 from .backbone import Backbone, BackboneConfig, Module
-from .errors import FormatError
+from .codec import from_json
+from .errors import ConfigError, FormatError
 from .evaluation import segment_utterance
 from .features import atomic_write
 from .scoring import BinaryHeadParams, NormStats, cosine_grid, pair_grid_scores
 
 CKPT_MAGIC = b"DATTCKP1"
 CKPT_VERSION = 1
+
+
+@dataclass
+class ModelConfig(BackboneConfig):
+    """The backbone, one attention stack for both paths or two, and the
+    binary head's dropout: the checkpoint manifest's model object."""
+
+    shared_attention: bool = False
+    dropout_rate: float = 0.5
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
 @dataclass
@@ -49,35 +64,15 @@ class UtteranceRecord:
 
 class DattModel(Module):
     def __init__(self, cfg, seed=0, shared_attention=False, dropout_rate=0.5, dtype=np.float32):
+        """cfg is a BackboneConfig; the two arguments after seed complete its ModelConfig."""
+        cfg = ModelConfig(**{**asdict(cfg), "shared_attention": shared_attention,
+                             "dropout_rate": dropout_rate})
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 3)))
         self.backbone = Backbone(cfg, rng, dtype)
         self.attention = AttentionParams(rng, cfg.channels[3], cfg.num_f, shared_attention, dtype)
         self.head = BinaryHeadParams(rng, cfg.num_f, dropout_rate, dtype)
         self.cfg = cfg
-        self.seed = seed
-        self.shared_attention = shared_attention
-        self.dropout_rate = dropout_rate
         self.dtype = np.dtype(dtype)
-
-    def config_dict(self):
-        """The BackboneConfig fields, then shared_attention and dropout_rate."""
-        return {
-            **asdict(self.cfg),
-            "shared_attention": self.shared_attention,
-            "dropout_rate": self.dropout_rate,
-        }
-
-    @staticmethod
-    def backbone_config(d):
-        """The BackboneConfig of a config_dict; JSON lists become tuples."""
-        return BackboneConfig(**{
-            f.name: tuple(d[f.name]) if isinstance(d[f.name], list) else d[f.name]
-            for f in fields(BackboneConfig)
-        })
-
-    @classmethod
-    def from_config_dict(cls, d, seed=0, dtype=np.float32):
-        return cls(cls.backbone_config(d), seed, d["shared_attention"], d["dropout_rate"], dtype)
 
     def param_groups(self):
         """(backbone params, attention + binary-head params) for the LR split."""
@@ -103,6 +98,9 @@ class DattModel(Module):
 
     def embed_utterance(self, fbank):
         """Segment, run the backbone in inference mode, cache attention inputs."""
+        if fbank.mel_bins != self.cfg.mel_bins:
+            raise FormatError(f"features have {fbank.mel_bins} mel bins, the model takes "
+                              f"{self.cfg.mel_bins}")
         segments = segment_utterance(fbank)
         stack = np.stack([s.frames for s in segments])
         feats = self.forward_utterances(stack, "infer")
@@ -176,10 +174,10 @@ def save_checkpoint(path, model, norm_stats=None, train_meta=None):
     index, payload_bytes = _layout(entries)
     manifest = {
         "format_version": CKPT_VERSION,
-        "model": model.config_dict(),
+        "model": asdict(model.cfg),
         "params": index,
         "payload_bytes": payload_bytes,
-        "norm_stats": norm_stats.to_dict() if norm_stats is not None else None,
+        "norm_stats": asdict(norm_stats) if norm_stats is not None else None,
         "train_meta": train_meta or {},
     }
     doc = json.dumps(manifest).encode()
@@ -228,13 +226,16 @@ def load_checkpoint(path, dtype=np.float32):
     for key in ("model", "params", "payload_bytes"):
         if key not in manifest:
             raise FormatError(f"{path}: manifest has no {key!r} key")
+    ns = manifest.get("norm_stats")
     try:
-        floor = _param_bytes_floor(DattModel.backbone_config(manifest["model"]))
-        if floor > len(payload):  # checked before anything is allocated
-            raise ValueError(f"needs at least {floor} payload bytes, the file has {len(payload)}")
-        model = DattModel.from_config_dict(manifest["model"], dtype=dtype)
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"{path}: bad model config: {e!r}") from e
+        cfg = from_json(ModelConfig, manifest["model"])
+        ns = from_json(NormStats, ns) if ns is not None else None
+    except ConfigError as e:
+        raise FormatError(f"{path}: {e}") from e
+    floor = _param_bytes_floor(cfg)
+    if floor > len(payload):  # checked before anything is allocated
+        raise FormatError(f"{path}: its model needs {floor}+ payload bytes, the file {len(payload)}")
+    model = DattModel(cfg, 0, cfg.shared_attention, cfg.dropout_rate, dtype)
     entries = _checkpoint_entries(model)
     index, payload_bytes = _layout(entries)
     got = manifest["params"] if isinstance(manifest["params"], dict) else {}
@@ -255,10 +256,4 @@ def load_checkpoint(path, dtype=np.float32):
             obj.data = arr
         else:
             setattr(obj, name.rsplit(".", 1)[1], arr)
-    ns = manifest.get("norm_stats")
-    if ns is not None:
-        try:
-            ns = NormStats.from_dict(ns)
-        except FormatError as e:
-            raise FormatError(f"{path}: {e}") from e
     return model, ns, manifest.get("train_meta", {})

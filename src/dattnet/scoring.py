@@ -15,15 +15,16 @@ averaged into the fused score.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .attention import mutual_attention_grid
 from .backbone import BatchNorm, Dense, Module
-from .errors import FormatError, NumericError
+from .errors import ConfigError, NumericError
 
 STD_FLOOR = 1e-6
 
@@ -97,21 +98,9 @@ class NormStats:
     mean_bin: float
     std_bin: float
 
-    KEYS = ("mean_cos", "std_cos", "mean_bin", "std_bin")
-
-    def to_dict(self):
-        return {k: float(getattr(self, k)) for k in self.KEYS}
-
-    @classmethod
-    def from_dict(cls, d):
-        """Stats from a checkpoint manifest: four finite floats, both stds > 0."""
-        vals = [d.get(k) for k in cls.KEYS] if isinstance(d, dict) else [None]
-        if not all(isinstance(v, float) and np.isfinite(v) for v in vals):
-            raise FormatError(f"norm stats need finite float {', '.join(cls.KEYS)}, got {d!r}")
-        ns = cls(*vals)
-        if ns.std_cos <= 0 or ns.std_bin <= 0:
-            raise FormatError(f"norm stats need stds > 0, got {d!r}")
-        return ns
+    def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))) or min(self.std_cos, self.std_bin) <= 0:
+            raise ConfigError(f"norm stats must be finite with stds > 0, got {self}")
 
 
 def _floored_std(values, name):

@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
-from .backbone import BackboneConfig
+from .backbone import predicted_trunk_shape
+from .codec import from_json
 from .errors import ConfigError, InputError, ShapeError
 from .features import generate_synthetic_corpus, pad_or_crop
-from .model import DattModel
+from .model import DattModel, ModelConfig
 from .scoring import calibrate_norm_stats, pair_grid_scores
 
 
@@ -76,20 +77,16 @@ class TrainConfig:
             raise ConfigError(f"loss_kind must be softmax or am_softmax, got {self.loss_kind!r}")
         if self.epochs < 1 or self.steps_per_epoch < 1:
             raise ConfigError("epochs and steps_per_epoch must be >= 1")
-        if self.crop_frames < 1:
-            raise ConfigError(f"crop_frames must be >= 1, got {self.crop_frames}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        self.backbone_config()  # the model fields are checked here, not mid-run
+        # the model fields are checked here, not mid-run; attention over one
+        # trunk frame is a softmax over one value, so its gradients are all 0
+        if predicted_trunk_shape(self.backbone_config(), self.crop_frames)[0] < 2:
+            raise ConfigError(f"crop_frames must leave the trunk >= 2 frames (>= 33), "
+                              f"got {self.crop_frames}")
 
     def backbone_config(self):
-        return BackboneConfig(
-            mel_bins=self.mel_bins,
-            channels=self.channels,
-            blocks_per_stage=self.blocks_per_stage,
-            num_f=self.num_f,
-            num_id=self.num_speakers,
-        )
+        """The ModelConfig of the same-named fields, with one class per speaker."""
+        names = [f.name for f in fields(ModelConfig) if f.name != "num_id"]
+        return ModelConfig(**{n: getattr(self, n) for n in names}, num_id=self.num_speakers)
 
     @classmethod
     def desk(cls, **overrides):
@@ -111,44 +108,13 @@ _FIELD_FOR_KEY = {v: k for k, v in _JSON_KEY.items()}
 
 
 def config_to_dict(cfg):
-    out = {}
-    for f in fields(cfg):
-        val = getattr(cfg, f.name)
-        if isinstance(val, tuple):
-            val = list(val)
-        out[_JSON_KEY.get(f.name, f.name)] = val
-    return out
-
-
-def _is_int(v):
-    # bool subclasses int in Python, but a JSON true is not a count
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# TrainConfig field annotation -> (what a JSON value must be, its test)
-_JSON_TYPES = {
-    "int": ("an integer", _is_int),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "tuple": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
-}
+    return {_JSON_KEY.get(k, k): list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(cfg).items()}
 
 
 def config_from_dict(doc):
-    """Strict construction: every key must name a config field and hold a
-    value of that field's type."""
-    types = {f.name: f.type for f in fields(TrainConfig)}
-    kwargs = {}
-    for key, val in doc.items():
-        field = _FIELD_FOR_KEY.get(key, key)
-        if field not in types:
-            raise ConfigError(f"unknown config key {key!r}")
-        what, fits = _JSON_TYPES[types[field]]
-        if not fits(val):
-            raise ConfigError(f"config key {key!r} must be {what}, got {val!r}")
-        kwargs[field] = val
-    return TrainConfig(**kwargs)
+    """The TrainConfig of a JSON document; absent keys keep their defaults."""
+    return from_json(TrainConfig, doc, partial=True, fields_of=_FIELD_FOR_KEY)
 
 
 def load_config(path):
@@ -157,8 +123,6 @@ def load_config(path):
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
     return config_from_dict(doc)
 
 

@@ -13,7 +13,7 @@ import pytest
 import dattnet.gradcheck
 from dattnet.cli import main
 from dattnet.evaluation import compute_eer, parse_trial_list
-from dattnet.features import read_fbank
+from dattnet.features import FBankMatrix, read_fbank, write_fbank
 from dattnet.gradcheck import GradcheckReport, UNIT_CHECKS
 from dattnet.model import DattModel, load_checkpoint
 from dattnet.training import config_from_dict
@@ -63,6 +63,9 @@ MALFORMED_CONFIGS = {
     "lambda is a string": ("lambda", "1"),
     "loss_kind is a number": ("loss_kind", 3),
     "mel_bins = 0": ("mel_bins", 0),
+    "lr_backbone is NaN": ("lr_backbone", math.nan),
+    "s is Infinity": ("s", math.inf),
+    "s is 10^400, past the float range": ("s", 10**400),
 }
 
 
@@ -236,6 +239,11 @@ def _with_model(manifest, **conf):
     return manifest
 
 
+def _without_model_key(manifest, key):
+    del manifest["model"][key]
+    return manifest
+
+
 # defect -> (manifest, payload) -> corrupted checkpoint bytes
 MALFORMED_CHECKPOINTS = {
     "manifest without params": lambda man, pl: _join_checkpoint(
@@ -252,6 +260,15 @@ MALFORMED_CHECKPOINTS = {
     "same-shape entries with swapped offsets": lambda man, pl: _join_checkpoint(_swapped(man), pl),
     "entry with a changed shape": lambda man, pl: _join_checkpoint(_reshaped(man), pl),
     "model.mel_bins = 30": lambda man, pl: _join_checkpoint(_with_model(man, mel_bins=30), pl),
+    "model.dropout_rate = 'x'": lambda man, pl: _join_checkpoint(
+        _with_model(man, dropout_rate="x"), pl),
+    "model.dropout_rate = 7.0": lambda man, pl: _join_checkpoint(
+        _with_model(man, dropout_rate=7.0), pl),
+    "model.shared_attention = 0": lambda man, pl: _join_checkpoint(
+        _with_model(man, shared_attention=0), pl),
+    "unknown model key": lambda man, pl: _join_checkpoint(_with_model(man, num_heads=2), pl),
+    "model without num_id": lambda man, pl: _join_checkpoint(
+        _without_model_key(man, "num_id"), pl),
     # rejected on its size alone: building this model would exhaust memory
     "num_f = channels[3] = 10^9": lambda man, pl: _join_checkpoint(
         _with_model(man, num_f=10**9, channels=man["model"]["channels"][:3] + [10**9]), pl),
@@ -346,6 +363,23 @@ class TestEval:
         rc = main(["eval", "--checkpoint", trained, "--trials", str(lst), "--out", out_csv])
         assert rc == 0
         assert "scored 4 trials, 1 errors" in capsys.readouterr().out
+        with open(out_csv, newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 4
+
+    def test_wrong_mel_bins_skips_trial(self, trained, corpus_dir, tmp_path, capsys):
+        trials = parse_trial_list(str(corpus_dir / "trials.txt"))[:4]
+        wide = tmp_path / "wide.fbnk"
+        write_fbank(wide, FBankMatrix(np.zeros((300, 2 * TINY["mel_bins"]), dtype=np.float32)))
+        lst = tmp_path / "trials.txt"
+        lines = [f"{t.label} {t.utt1} {t.utt2}" for t in trials]
+        lines.append(f"0 {trials[0].utt1} {wide}")
+        lst.write_text("\n".join(lines) + "\n")
+        out_csv = str(tmp_path / "scores.csv")
+        rc = main(["eval", "--checkpoint", trained, "--trials", str(lst), "--out", out_csv])
+        out, err = capsys.readouterr()
+        assert rc == 0
+        assert "scored 4 trials, 1 errors" in out
+        assert err.splitlines() == ["  trial 4: features have 64 mel bins, the model takes 32"]
         with open(out_csv, newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 4
 

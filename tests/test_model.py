@@ -1,6 +1,7 @@
 """Model composition and checkpoint container tests."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from numpy.testing import assert_allclose
 
 from dattnet import tensor as T
 from dattnet.backbone import BackboneConfig
+from dattnet.codec import from_json
 from dattnet.errors import FormatError, NumericError
 from dattnet.features import FBankMatrix
 from dattnet.model import (
     DattModel,
+    ModelConfig,
     UtteranceRecord,
     _checkpoint_entries,
     _entry_array,
@@ -76,10 +79,11 @@ class TestModelBasics:
 
     def test_config_dict_roundtrip(self):
         m = tiny_model(shared_attention=True, dropout_rate=0.25)
-        m2 = DattModel.from_config_dict(m.config_dict())
+        cfg = from_json(ModelConfig, json.loads(json.dumps(asdict(m.cfg))))
+        m2 = DattModel(cfg, 0, cfg.shared_attention, cfg.dropout_rate)
         assert m2.cfg == m.cfg
-        assert m2.shared_attention is True
-        assert m2.dropout_rate == 0.25
+        assert m2.cfg.shared_attention is True
+        assert m2.cfg.dropout_rate == 0.25
 
     def test_param_groups_partition(self):
         m = tiny_model()
@@ -189,7 +193,7 @@ class TestCheckpoint:
             b = _entry_array((name, got[name]))
             assert np.array_equal(a, b), name
             assert b.dtype == np.float32
-        assert ns2.to_dict() == ns.to_dict()
+        assert ns2 == ns
         assert meta2 == meta
 
     def test_running_stats_survive(self, tmp_path):

@@ -1,11 +1,15 @@
 """Score-path checks: cosine identities, head symmetry, fusion algebra."""
 
+import math
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from dattnet import scoring as S
 from dattnet import tensor as T
-from dattnet.errors import NumericError
+from dattnet.codec import from_json
+from dattnet.errors import ConfigError, NumericError
 
 
 def make_pair(rng, num_f=8, dtype=np.float64):
@@ -135,7 +139,12 @@ class TestNormStats:
 
     def test_roundtrip_dict(self):
         ns = S.NormStats(0.1, 0.2, 0.3, 0.4)
-        assert S.NormStats.from_dict(ns.to_dict()) == ns
+        assert from_json(S.NormStats, asdict(ns)) == ns
+
+    def test_zero_or_non_finite_rejected(self):
+        for bad in ((0, 0, 0, 1), (0, 1, 0, -1), (math.nan, 1, 0, 1), (0, 1, 0, math.inf)):
+            with pytest.raises(ConfigError):
+                S.NormStats(*bad)
 
 
 class TestCalibration:

@@ -80,10 +80,12 @@ class TestTrainConfig:
             dict(loss_kind="hinge"),
             dict(epochs=0),
             dict(crop_frames=0),
+            dict(crop_frames=32),  # one trunk frame: attention gradients are all 0
             dict(dropout_rate=1.0),
         ):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
+        assert TrainConfig(crop_frames=33).crop_frames == 33
 
     def test_load_config_file(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -413,7 +415,7 @@ class TestTrainModel:
         m1, ns1, log1 = train_model(cfg)
         m2, ns2, log2 = train_model(cfg)
         assert log1 == log2
-        assert ns1.to_dict() == ns2.to_dict()
+        assert ns1 == ns2
         for (n1, p1), (n2, p2) in zip(m1.named_params(), m2.named_params()):
             assert n1 == n2
             assert np.array_equal(p1.data, p2.data)
