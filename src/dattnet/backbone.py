@@ -12,6 +12,14 @@ time (embedding), and classifies speakers (logits).
 Time shrinks by 32x and frequency by 16x through the stack; extents follow
 floor((n + 2*pad - k)/stride) + 1 throughout, so e.g. T=300 lands on 10
 frames rather than the nominal 300/32.
+
+The prefix -- the front block, the first 3x3/2 max pool and stage 0 -- is
+stride 1 in time after that one stride-2 pool.  So an input cut at an even
+frame offset has the same stage-0 rows as the whole input at that place,
+except the rows its own padding reaches (`prefix_reach`).  The overlapping
+segments of one utterance therefore share a single prefix pass, with only
+those edge rows recomputed; `Trunk` takes a stage range so the rest of the
+trunk runs on the stacked segments.
 """
 
 from __future__ import annotations
@@ -142,11 +150,14 @@ class Preprocess(Module):
     """Input normalization and the two parallel streams."""
 
     STREAM1_FILTERS = 16
+    STEM = 7  # square stream-1 kernel, zero-padded by STEM // 2
 
     def __init__(self, rng, cfg, dtype=np.float32):
-        f = cfg.mel_bins
+        f, k = cfg.mel_bins, self.STEM
         self.bn_in = BatchNorm(1, dtype)
-        self.stream1_conv = Conv2d(rng, 7, 7, 1, self.STREAM1_FILTERS, (1, 1), (3, 3), dtype)
+        self.stream1_conv = Conv2d(
+            rng, k, k, 1, self.STREAM1_FILTERS, (1, 1), (k // 2, k // 2), dtype
+        )
         self.stream1_bn = BatchNorm(self.STREAM1_FILTERS, dtype)
         self.freq_conv = Conv2d(rng, 1, 1, f, f, (1, 1), (0, 0), dtype)
         self.stream2_bn = BatchNorm(1, dtype)
@@ -182,6 +193,8 @@ class Preprocess(Module):
 class Trunk(Module):
     """Four residual stages with pooling per the downsampling ledger."""
 
+    FRONT_POOL = ((3, 3), (2, 2), (1, 1))  # kernel, stride, pad of the pool before stage 0
+
     def __init__(self, rng, cfg, dtype=np.float32):
         c = cfg.channels
         cin = c[0]
@@ -198,12 +211,16 @@ class Trunk(Module):
     def stages(self):
         return [self.stage0, self.stage1, self.stage2, self.stage3]
 
-    def __call__(self, x, mode):
-        h = T.pool2d(x, (3, 3), (2, 2), (1, 1))
-        for stage_idx, blocks in enumerate(self.stages):
-            if stage_idx == 2:
+    def __call__(self, x, mode, stages=(0, 1, 2, 3)):
+        """Run `stages` in order: stage 0 opens with the front pool, stage 2
+        with a time-only pool.  A stage range lets segments share stage 0."""
+        h = x
+        for stage_idx in stages:
+            if stage_idx == 0:
+                h = T.pool2d(h, *self.FRONT_POOL)
+            elif stage_idx == 2:
                 h = T.pool2d(h, (3, 1), (2, 1), (1, 0))
-            for block in blocks:
+            for block in self.stages[stage_idx]:
                 h = block(h, mode)
         return h
 
@@ -240,6 +257,21 @@ class Backbone(Module):
         h = self.pre(x, mode)
         h = self.trunk(h, mode)
         return self.postprocess(h, mode)
+
+
+def prefix_reach(cfg):
+    """(edge, halo) of the prefix: the front block, the front pool, stage 0.
+
+    `edge` counts the stage-0 rows at each end of an input that its own
+    padding reaches.  The stem pads STEM // 2 = 3 frames; pooled row j reads
+    frames 2j-1..2j+1, so those reach pooled rows 0 and 1; each of stage 0's
+    two 3x3 convs per block widens that by one row.  A band of `halo` frames
+    has 2 * edge stage-0 rows, so the padding at its far end leaves the
+    `edge` rows at its near end untouched.
+    """
+    stride = Trunk.FRONT_POOL[1][0]
+    edge = Preprocess.STEM // 2 // stride + 1 + 2 * cfg.blocks_per_stage[0]
+    return edge, 2 * edge * stride
 
 
 def predicted_trunk_shape(cfg, t_in):

@@ -24,7 +24,15 @@ SEGMENT_HOP = 100
 
 
 def segment_utterance(f):
-    """500-frame views every 100 frames; short input -> one padded segment."""
+    """500-frame views every 100 frames; short input -> one padded segment.
+
+    The model embeds all segments through one shared pass of its prefix
+    (front block, front pool, stage 0; see `DattModel.embed_utterance`).
+    That equals the per-segment forward because the prefix is stride 1
+    after one stride-2 pool and the hop is even, so segment rows line up
+    with rows of the shared pass; the rows a segment's own padding reaches
+    are recomputed from bands cut at its ends.
+    """
     t = f.n_frames
     if t < SEGMENT_FRAMES:
         return [pad_or_crop(f, SEGMENT_FRAMES, "eval_pad")]

@@ -1,9 +1,10 @@
 """Full verification model and its on-disk checkpoint format.
 
 A model bundles the backbone, the attention parameter stacks, and the
-binary head.  Utterances are embedded once into per-segment features;
-pair scoring reuses those records, evaluating all segment combinations of
-a pair in a single broadcast pass.
+binary head.  Utterances are embedded once into per-segment features, the
+segments sharing one pass through the backbone's prefix; pair scoring
+reuses those records, evaluating all segment combinations of a pair in a
+single broadcast pass.
 
 Checkpoints are a small binary container: an 8-byte magic, a little-endian
 u64 manifest length, a JSON manifest (format version, model config, a
@@ -27,15 +28,18 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionParams, compute_f_att, self_attention
-from .backbone import Backbone, BackboneConfig, Module
+from .backbone import Backbone, BackboneConfig, Module, Trunk, prefix_reach
 from .codec import from_json
 from .errors import ConfigError, FormatError
-from .evaluation import segment_utterance
+from .evaluation import SEGMENT_FRAMES, SEGMENT_HOP, segment_utterance
 from .features import atomic_write
 from .scoring import BinaryHeadParams, NormStats, cosine_grid, pair_grid_scores
 
 CKPT_MAGIC = b"DATTCKP1"
 CKPT_VERSION = 1
+PREFIX_STRIDE = Trunk.FRONT_POOL[1][0]  # time stride of the prefix's stage-0 rows
+# segments cut at multiples of the stride share the prefix's stage-0 rows
+assert SEGMENT_HOP % PREFIX_STRIDE == 0 and SEGMENT_FRAMES % PREFIX_STRIDE == 0
 
 
 @dataclass
@@ -63,14 +67,18 @@ class UtteranceRecord:
 
 
 class DattModel(Module):
-    def __init__(self, cfg, seed=0, shared_attention=False, dropout_rate=0.5, dtype=np.float32):
-        """cfg is a BackboneConfig; the two arguments after seed complete its ModelConfig."""
-        cfg = ModelConfig(**{**asdict(cfg), "shared_attention": shared_attention,
-                             "dropout_rate": dropout_rate})
+    def __init__(self, cfg, seed=0, shared_attention=None, dropout_rate=None, dtype=np.float32):
+        """cfg is a BackboneConfig or a ModelConfig.  shared_attention and
+        dropout_rate override it when given; left as None they take a
+        ModelConfig's own values, else ModelConfig's defaults."""
+        given = {"shared_attention": shared_attention, "dropout_rate": dropout_rate}
+        cfg = ModelConfig(**{**asdict(cfg), **{k: v for k, v in given.items() if v is not None}})
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 3)))
         self.backbone = Backbone(cfg, rng, dtype)
-        self.attention = AttentionParams(rng, cfg.channels[3], cfg.num_f, shared_attention, dtype)
-        self.head = BinaryHeadParams(rng, cfg.num_f, dropout_rate, dtype)
+        self.attention = AttentionParams(
+            rng, cfg.channels[3], cfg.num_f, cfg.shared_attention, dtype
+        )
+        self.head = BinaryHeadParams(rng, cfg.num_f, cfg.dropout_rate, dtype)
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
 
@@ -97,13 +105,47 @@ class DattModel(Module):
         return self_attention(f_att_self, f_id)[1], f_att_mutual
 
     def embed_utterance(self, fbank):
-        """Segment, run the backbone in inference mode, cache attention inputs."""
+        """Segment, run the backbone in inference mode, cache attention inputs.
+
+        All segments share one pass through the backbone's prefix (the front
+        block, the front pool and stage 0) over the frames they cover.  That
+        matches the per-segment forward: the prefix is stride 1 after one
+        stride-2 pool and the segment hop is even, so a segment's stage-0
+        rows are rows of the shared pass -- except the `edge` rows at each
+        interior segment end that the segment's own padding reaches.  Those
+        are recomputed, in one batched pass, from `halo`-frame bands cut at
+        the segment ends (see `prefix_reach`).  Stages 1-3, the head and
+        attention then run on the stacked segments.  In float64 the records
+        equal the per-segment forward's bit for bit; in float32 they differ
+        only by GEMM rounding.
+        """
         if fbank.mel_bins != self.cfg.mel_bins:
             raise FormatError(f"features have {fbank.mel_bins} mel bins, the model takes "
                               f"{self.cfg.mel_bins}")
+        backbone = self.backbone
+
+        def prefix(frames):  # (B, T, F) -> stage-0 rows, (B, T / PREFIX_STRIDE, F', C)
+            x = T.Tensor(np.ascontiguousarray(frames, dtype=self.dtype)[..., None])
+            return backbone.trunk(backbone.pre(x, "infer"), "infer", stages=(0,)).data
+
         segments = segment_utterance(fbank)
-        stack = np.stack([s.frames for s in segments])
-        feats = self.forward_utterances(stack, "infer")
+        n = len(segments)
+        # the frames the segments cover; a lone segment may be eval_pad-ded
+        covered = segments[0].frames
+        if n > 1:
+            covered = fbank.frames[: (n - 1) * SEGMENT_HOP + SEGMENT_FRAMES]
+        shared = prefix(covered[None])[0]
+        rows, hop = SEGMENT_FRAMES // PREFIX_STRIDE, SEGMENT_HOP // PREFIX_STRIDE
+        stack = np.stack([shared[i * hop : i * hop + rows] for i in range(n)])
+        if n > 1:
+            edge, halo = prefix_reach(self.cfg)
+            # left-end bands of segments 1.., then right-end bands of segments ..n-2
+            bands = prefix([s.frames[:halo] for s in segments[1:]]
+                           + [s.frames[-halo:] for s in segments[:-1]])
+            stack[1:, :edge] = bands[: n - 1, :edge]
+            stack[:-1, -edge:] = bands[n - 1 :, -edge:]
+        h = backbone.trunk(T.Tensor(stack), "infer", stages=(1, 2, 3))
+        feats = backbone.postprocess(h, "infer")
         f_self, f_att_mutual = self.attend(feats.f_raw, feats.f_id, "infer")
         return UtteranceRecord(
             f_id=feats.f_id.data,
@@ -235,7 +277,7 @@ def load_checkpoint(path, dtype=np.float32):
     floor = _param_bytes_floor(cfg)
     if floor > len(payload):  # checked before anything is allocated
         raise FormatError(f"{path}: its model needs {floor}+ payload bytes, the file {len(payload)}")
-    model = DattModel(cfg, 0, cfg.shared_attention, cfg.dropout_rate, dtype)
+    model = DattModel(cfg, 0, dtype=dtype)
     entries = _checkpoint_entries(model)
     index, payload_bytes = _layout(entries)
     got = manifest["params"] if isinstance(manifest["params"], dict) else {}

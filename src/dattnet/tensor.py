@@ -402,14 +402,16 @@ def pool2d(x, kernel, stride=None, pad=(0, 0)):
 
     yv = tap(xp, 0, 0).copy()
     # running argmax with strict >, so the first (row-major) maximum wins,
-    # matching a flat argmax; the tap index drives the backward
+    # matching a flat argmax; the tap index drives the backward.  A tap
+    # that beats the running max is the argmax so far, and taps come in
+    # rising order, so a max with k * (t > yv) writes it (no masked copy).
     am = None
     if _recording((x,)) is not None:
         am = np.zeros(yv.shape, dtype=np.uint8 if kh * kw <= 256 else np.int32)
     for k in range(1, kh * kw):
         t = tap(xp, *divmod(k, kw))
         if am is not None:
-            np.copyto(am, k, where=t > yv)
+            np.maximum(am, np.multiply(t > yv, k, dtype=am.dtype), out=am)
         np.maximum(yv, t, out=yv)
     if not batched:
         yv = yv[0]

@@ -3,6 +3,8 @@
 import numpy as np
 
 from dattnet.errors import NumericError
+from dattnet.evaluation import segment_utterance
+from dattnet.model import UtteranceRecord
 
 
 def am_softmax_prob(embedding, fc2_weights, label, s, m):
@@ -19,3 +21,17 @@ def am_softmax_prob(embedding, fc2_weights, label, s, m):
     z -= z.max()
     p = np.exp(z)
     return float(p[label] / p.sum())
+
+
+def embed_utterance_per_segment(model, fbank):
+    """UtteranceRecord of an utterance whose segments each run the whole
+    backbone on their own: stacked, then forward_utterances and attend."""
+    stack = np.stack([seg.frames for seg in segment_utterance(fbank)])
+    feats = model.forward_utterances(stack, "infer")
+    f_self, f_att_mutual = model.attend(feats.f_raw, feats.f_id, "infer")
+    return UtteranceRecord(
+        f_id=feats.f_id.data,
+        f_att_mutual=f_att_mutual.data,
+        f_self=f_self.data,
+        embedding=feats.embedding.data,
+    )

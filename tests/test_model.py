@@ -1,17 +1,18 @@
 """Model composition and checkpoint container tests."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dattnet import model as model_mod
 from dattnet import tensor as T
-from dattnet.backbone import BackboneConfig
+from dattnet.backbone import BackboneConfig, prefix_reach
 from dattnet.codec import from_json
 from dattnet.errors import FormatError, NumericError
-from dattnet.features import FBankMatrix
+from dattnet.features import FBankMatrix, generate_synthetic_corpus
 from dattnet.model import (
     DattModel,
     ModelConfig,
@@ -24,7 +25,8 @@ from dattnet.model import (
     save_checkpoint,
 )
 from dattnet.scoring import NormStats
-from dattnet.training import TrainConfig
+from dattnet.training import TrainConfig, build_pair_batch, pair_batch_losses
+from oracles import embed_utterance_per_segment
 
 TINY_CFG = BackboneConfig(
     mel_bins=32, channels=(4, 4, 8, 8), blocks_per_stage=(1, 1, 1, 1), num_f=8, num_id=3
@@ -108,6 +110,105 @@ class TestModelBasics:
         rng = np.random.default_rng(1)
         rec = m.embed_utterance(random_fbank(rng, 180))
         assert rec.embedding.shape[0] == 1
+
+
+class TestConfigArguments:
+    def test_model_config_values_are_kept(self):
+        cfg = TrainConfig.desk(shared_attention=True, dropout_rate=0.2).backbone_config()
+        m = DattModel(cfg)
+        assert (m.cfg.shared_attention, m.cfg.dropout_rate) == (True, 0.2)
+        assert m.attention.shared and m.head.dropout_rate == 0.2
+
+    def test_arguments_override_and_backbone_config_defaults(self):
+        cfg = TrainConfig.desk(shared_attention=True, dropout_rate=0.2).backbone_config()
+        m = DattModel(cfg, 0, False, 0.0)
+        assert (m.cfg.shared_attention, m.cfg.dropout_rate) == (False, 0.0)
+        assert not m.attention.shared and m.head.dropout_rate == 0.0
+        m = DattModel(TINY_CFG)
+        assert (m.cfg.shared_attention, m.cfg.dropout_rate) == (False, 0.5)
+
+
+RECORD_FIELDS = [f.name for f in fields(UtteranceRecord)]
+# one padded segment, one exact, one cropped, then 2, 2, 3, 3, 7 and 16 segments
+PREFIX_LENGTHS = (450, 500, 599, 600, 699, 700, 737, 1100, 2000)
+
+
+def prefix_model(b0):
+    """Float64 model with b0 stage-0 blocks and BN layers off their init values."""
+    cfg = BackboneConfig(
+        mel_bins=16, channels=(4, 4, 4, 4), blocks_per_stage=(b0, 1, 1, 1), num_f=4, num_id=3
+    )
+    m = DattModel(cfg, seed=b0, dtype=np.float64)
+    rng = np.random.default_rng(b0)
+    for _, st in m.named_bn_states():
+        st.running_mean = rng.normal(0.0, 0.5, st.channels)
+        st.running_var = rng.uniform(0.5, 2.0, st.channels)
+        st.gamma.data = rng.uniform(0.5, 1.5, st.channels)
+        st.beta.data = rng.normal(0.0, 0.3, st.channels)
+    return m
+
+
+class TestSharedPrefix:
+    """embed_utterance runs one prefix pass per utterance; the oracle runs
+    the whole backbone per segment."""
+
+    @pytest.mark.parametrize("b0", [1, 2, 3])
+    def test_reach(self, b0):
+        cfg = BackboneConfig(blocks_per_stage=(b0, 2, 2, 2))
+        assert prefix_reach(cfg) == (2 * b0 + 2, 8 * b0 + 8)
+
+    @pytest.mark.parametrize("b0", [1, 2, 3])
+    def test_float64_records_equal_per_segment_forward(self, b0):
+        m = prefix_model(b0)
+        rng = np.random.default_rng(10 + b0)
+        for t in PREFIX_LENGTHS:
+            fb = random_fbank(rng, t, 16)
+            got, want = m.embed_utterance(fb), embed_utterance_per_segment(m, fb)
+            for name in RECORD_FIELDS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (t, name)
+
+    @pytest.mark.parametrize("b0", [1, 2, 3])
+    @pytest.mark.parametrize("cut", [(1, 0), (0, 2)], ids=["edge-1", "halo-2"])
+    def test_reach_is_tight(self, b0, cut, monkeypatch):
+        # one row fewer recomputed, or a band two frames short, shows in every array
+        m = prefix_model(b0)
+        fb = random_fbank(np.random.default_rng(20 + b0), 700, 16)
+        want = embed_utterance_per_segment(m, fb)
+        monkeypatch.setattr(model_mod, "prefix_reach", lambda cfg: tuple(
+            v - d for v, d in zip(prefix_reach(cfg), cut)))
+        got = m.embed_utterance(fb)
+        for name in RECORD_FIELDS:
+            assert not np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_float32_desk_model_within_rounding(self):
+        # The small GEMMs of the edge bands round differently in float32
+        # (2-3 segment utterances); the self-attention softmax and the
+        # binary head amplify that to about 2e-6 in f_self and 1e-5 in
+        # scores.  A row off at the edges moves them by 1e-2 and 3e-2.
+        # BN stats come from train-mode passes, as in the first training
+        # steps; with the init stats the binary scores saturate at 1.0.
+        cfg = TrainConfig.desk(seed=7, speakers_per_batch=4, crop_frames=200)
+        m = DattModel(cfg.backbone_config(), cfg.seed)
+        calib = generate_synthetic_corpus(4, 2, cfg.seed, cfg.noise_sigma, cfg.mel_bins)
+        rng = np.random.default_rng(6)
+        for _ in range(2):
+            pair_batch_losses(m, build_pair_batch(calib, cfg, rng), cfg, "train", rng)
+        corpus = generate_synthetic_corpus(
+            3, 4, 11, cfg.noise_sigma, cfg.mel_bins, min_dur_s=21.0, max_dur_s=21.0
+        )
+        lengths = (450, 600, 650, 699, 700, 737, 799, 800, 1100, 2000)
+        got, want = [], []
+        for k, t in enumerate(lengths):
+            fb = FBankMatrix(corpus.utterances[k % 3][k // 3].frames[:t])
+            got.append(m.embed_utterance(fb))
+            want.append(embed_utterance_per_segment(m, fb))
+            for name in RECORD_FIELDS:
+                a, r = getattr(got[-1], name), getattr(want[-1], name)
+                assert np.abs(a - r).max() <= 2e-5 * np.abs(r).max(), (t, name)
+        for i in range(len(lengths)):
+            for j in range(len(lengths)):
+                assert_allclose(m.score_records(got[i], got[j]),
+                                m.score_records(want[i], want[j]), rtol=0, atol=5e-5)
 
 
 class TestSharedAttention:

@@ -221,6 +221,45 @@ class TestPool2d:
             np.testing.assert_array_equal(y.data, free.data)
 
 
+    @pytest.mark.parametrize(
+        "kernel, stride, pad",
+        [((3, 3), (2, 2), (1, 1)), ((3, 1), (2, 1), (1, 0)), ((2, 2), (2, 2), (0, 0))],
+    )
+    def test_recorded_map_is_first_row_major_argmax(self, kernel, stride, pad):
+        # the map routes each output's gradient to its window's first
+        # row-major maximum; tie-heavy input makes "first" decide
+        (kh, kw), (sh, sw), (ph, pw) = kernel, stride, pad
+        rng = np.random.default_rng(21)
+        x = rng.integers(-1, 2, size=(2, 7, 6, 3)).astype(np.float32)
+        xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)), constant_values=-np.inf)
+        out_shape = T.pool2d(T.Tensor(x), kernel, stride, pad).data.shape
+        want_src = {}  # output index -> input index of its first maximum
+        for b, i, j, c in np.ndindex(out_shape):
+            win = xp[b, i * sh : i * sh + kh, j * sw : j * sw + kw, c]
+            r, q = divmod(int(np.argmax(win)), kw)
+            want_src[b, i, j, c] = (b, i * sh + r - ph, j * sw + q - pw, c)
+
+        def grad_of(g):
+            xt = T.parameter(x)
+            with T.GraphTape() as tape:
+                loss = T.sum_over(T.mul(T.pool2d(xt, kernel, stride, pad), T.Tensor(g)))
+            T.backward(loss, tape)
+            return xt.grad
+
+        for idx, src in want_src.items():  # the map, one output at a time
+            g = np.zeros(out_shape, dtype=np.float32)
+            g[idx] = 1.0
+            want = np.zeros_like(x)
+            want[src] = 1.0
+            np.testing.assert_array_equal(grad_of(g), want, err_msg=str(idx))
+        # the whole gradient; eighths sum exactly in any order
+        g = rng.integers(1, 64, size=out_shape).astype(np.float32) / 8
+        want = np.zeros_like(x)
+        for idx, src in want_src.items():
+            want[src] += g[idx]
+        np.testing.assert_array_equal(grad_of(g), want)
+
+
 class TestBatchNorm:
     def test_train_stats(self):
         rng = np.random.default_rng(12)
