@@ -11,10 +11,19 @@ checks, bit-exact convolution ordering), float32 is the training dtype.
 `conv2d` keeps a strict accumulation order (kh, kw, cin) on float64 inputs
 so it matches a naive nested-loop reference bit for bit; float32 inputs take
 an im2col/GEMM path.
+
+Layout rule: arrays are channels-last, so a per-channel broadcast
+`x * v[c]` over the flat (N, C) view runs one C-element inner loop per row.
+`batch_norm` instead runs its per-channel broadcasts on a wide-row view
+(N/w, w*C) with the channel vector tiled w times (`_wide_rows`).  That is
+exact: an elementwise IEEE operation rounds each element on its own, so its
+result does not depend on the loop shape.  Reductions are left as they are,
+on the (N, C) view, because their summation order does depend on it.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from itertools import zip_longest
 
@@ -374,6 +383,10 @@ def pool2d(x, kernel, stride=None, pad=(0, 0)):
     padded cell never wins.  Backward routes each output's gradient to the
     first (row-major) maximum of its window; the map of those maxima is
     built only when a tape records the call, since nothing else reads it.
+    The backward is one scatter-add over the outputs in reverse raster
+    order.  For a fixed input, a later tap in row-major order belongs to an
+    earlier output in raster order, so the reversed scatter sums an input's
+    terms in tap order: the bits of one masked add per tap, taps in order.
     """
     xv = x.data
     batched = xv.ndim == 4
@@ -419,10 +432,18 @@ def pool2d(x, kernel, stride=None, pad=(0, 0)):
 
     def bwd(g):
         g = g if batched else g[None]
-        gx = np.zeros_like(xp)
-        for k in range(kh * kw):
-            dst = tap(gx, *divmod(k, kw))
-            dst += g * (am == k)
+        gx = np.zeros(xp.shape, dtype=xp.dtype)  # C order: reshape(-1) is a view
+        # flat index in gx of each output's argmax: the offset of tap am
+        # within its window, plus the window's origin
+        b, hp, wp, c = xp.shape
+        ih, iw = np.divmod(np.arange(kh * kw), kw)
+        src = (ih * (wp * c) + iw * c)[am]
+        src += np.arange(b).reshape(-1, 1, 1, 1) * (hp * wp * c)
+        src += np.arange(oh).reshape(-1, 1, 1) * (sh * wp * c)
+        src += np.arange(ow).reshape(-1, 1) * (sw * c) + np.arange(c)
+        # add.at applies its updates in index order, so the reversed
+        # outputs sum each input's terms in tap order (see the docstring)
+        np.add.at(gx.reshape(-1), src.reshape(-1)[::-1], g.reshape(-1)[::-1])
         if ph or pw:
             gx = gx[:, ph : ph + th, pw : pw + tf, :]
         _accum(x, gx if batched else gx[0])
@@ -432,6 +453,40 @@ def pool2d(x, kernel, stride=None, pad=(0, 0)):
 
 # ---------------------------------------------------------------------------
 # batch normalization
+
+
+def _wide_rows(xv):
+    """`xv` as flat (N, C) rows and as wide (N/w, w*C) rows of the same memory,
+    and a function tiling a C-vector to match the wide rows.
+
+    w = gcd(N, 1024 // C), so a wide row holds up to 1024 elements and a
+    per-channel broadcast runs one long inner loop per wide row instead of
+    one C-element loop per channel row.  Flat rows that are not C-contiguous
+    (a view of a transposed or channel-sliced array) take w = 1: they keep
+    their layout, and so do the arrays computed from them, whose reductions
+    then sum in the order they always did.  So do arrays of at most 1024
+    elements, where the loops are too short for the tiling to pay.
+    """
+    c = xv.shape[-1]
+    flat = xv.reshape(-1, c)  # a copy when no (N, C) view exists
+    n = flat.shape[0]
+    widen = flat.flags.c_contiguous and flat.size > 1024
+    w = math.gcd(n, max(1, 1024 // c)) if widen else 1
+
+    def tile(v):  # np.tile(v, w) with less per-call overhead
+        if w == 1:
+            return v
+        t = np.empty((w, c), dtype=v.dtype)
+        t[...] = v
+        return t.reshape(-1)
+
+    return flat, flat.reshape(n // w, w * c), tile
+
+
+def _relu_grad(g, y):
+    """g * (y > 0), with the mask as floats: a float mask multiplies faster
+    than a bool one, and to the same bits, as numpy reads a bool as 0 / 1."""
+    return g * (y > 0).astype(g.dtype)
 
 
 class BNState:
@@ -460,6 +515,11 @@ def batch_norm(x, state, mode="train", act=None):
     those of that expression bit for bit when x and the state share a dtype.
     `act="relu"` applies the rectifier in the same pass (equivalent to
     relu(batch_norm)).
+
+    Per-channel broadcasts run on the wide-row view (see the module
+    docstring) and the column reductions on the flat (N, C) view, so the
+    values, gradients and running statistics of both modes are, bit for
+    bit, those of the same expressions broadcast over (N, C) rows.
     """
     xv = x.data
     c = xv.shape[-1]
@@ -467,71 +527,75 @@ def batch_norm(x, state, mode="train", act=None):
         raise ShapeError(f"batch_norm: {c} channels vs state {state.channels}")
     if act not in (None, "relu"):
         raise InputError(f"unknown batch_norm activation {act!r}")
+    if mode not in ("train", "infer"):
+        raise InputError(f"unknown batch_norm mode {mode!r}")
     gamma, beta = state.gamma, state.beta
     eps = np.asarray(state.eps, dtype=xv.dtype)
+    # the flat (N, C) view lets the squared-sum reductions fuse without
+    # materializing extra temps
+    flat, wide, tile = _wide_rows(xv)
 
     if mode == "train":
-        # flat (N, C) view: lets the squared-sum reductions fuse without
-        # materializing extra temps (a copy if x is not C-contiguous)
-        flat = xv.reshape(-1, c)
         n = flat.shape[0]
         # einsum streams the column reduction several times faster than
         # mean(axis=0) at these shapes
         mu = np.einsum("nc->c", flat) / n
-        xc = flat - mu
-        var = np.einsum("nc,nc->c", xc, xc) / n
+        xc = wide - tile(mu)
+        xcf = xc.reshape(n, c)
+        var = np.einsum("nc,nc->c", xcf, xcf) / n
         m = state.momentum
         state.running_mean = ((1 - m) * state.running_mean + m * mu).astype(xv.dtype)
         state.running_var = ((1 - m) * state.running_var + m * var).astype(xv.dtype)
         invstd = 1.0 / np.sqrt(var + eps)
         # keep xc unscaled and fold invstd into the affine scale; the
         # backward reductions pick the invstd factor back up per channel
-        ov = xc * (invstd * gamma.data)
-        ov += beta.data
+        ov = xc * tile(invstd * gamma.data)
+        ov += tile(beta.data)
         if act is not None:
             np.maximum(ov, 0.0, out=ov)
         out = Tensor(ov.reshape(xv.shape))
 
         def bwd(g):
             if act is not None:
-                g = g * (out.data > 0)
+                g = _relu_grad(g, out.data)
             # dxh = gf * gamma, so its sum and xc-projection are just
             # gamma-scaled copies of the gf reductions: two fewer passes
             gf = g.reshape(-1, c)
             s1 = np.einsum("nc->c", gf)
-            s2 = np.einsum("nc,nc->c", gf, xc)
+            s2 = np.einsum("nc,nc->c", gf, xcf)
             _accum(beta, s1)
             _accum(gamma, s2 * invstd)
             if not x.requires_grad:
                 return
             gd = gamma.data
-            dx = gf * (gd * invstd)
-            dx -= xc * (s2 * gd / n * (invstd**3))
-            dx -= s1 * gd / n * invstd
+            # the masked gradient is a fresh buffer nothing else holds, so
+            # dx takes it over rather than allocating another
+            dx = gf.reshape(xc.shape)
+            dx = np.multiply(dx, tile(gd * invstd), out=dx if act is not None else None)
+            dx -= xc * tile(s2 * gd / n * (invstd**3))
+            dx -= tile(s1 * gd / n * invstd)
             _accum(x, dx.reshape(xv.shape))
 
-    elif mode == "infer":
+    else:
         mean = state.running_mean
         invstd = 1.0 / np.sqrt(state.running_var + eps)
-        ov = np.subtract(xv, mean)
-        ov *= invstd
-        ov *= gamma.data
-        ov += beta.data
+        ov = np.subtract(wide, tile(mean))
+        ov *= tile(invstd)
+        ov *= tile(gamma.data)
+        ov += tile(beta.data)
         if act is not None:
             np.maximum(ov, 0.0, out=ov)
-        out = Tensor(ov)
+        out = Tensor(ov.reshape(xv.shape))
 
         def bwd(g):
             if act is not None:
-                g = g * (out.data > 0)
+                g = _relu_grad(g, out.data)
             axes = tuple(range(xv.ndim - 1))
             xhat = (xv - mean) * invstd
             _accum(beta, g.sum(axis=axes))
             _accum(gamma, (g * xhat).sum(axis=axes))
             _accum(x, g * (gamma.data * invstd))
 
-    else:
-        raise InputError(f"unknown batch_norm mode {mode!r}")
     return _record((x, gamma, beta), out, bwd)
 
 
@@ -565,7 +629,7 @@ def activation(x, kind):
 
         def bwd(g):
             # subgradient 0 at exactly 0
-            _accum(x, g * (xv > 0))
+            _accum(x, _relu_grad(g, xv))
 
     elif kind == "sigmoid":
         yv = np.empty_like(xv)

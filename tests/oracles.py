@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from dattnet import tensor as T
 from dattnet.errors import NumericError
 from dattnet.evaluation import segment_utterance
 from dattnet.model import UtteranceRecord
@@ -35,3 +36,111 @@ def embed_utterance_per_segment(model, fbank):
         f_self=f_self.data,
         embedding=feats.embedding.data,
     )
+
+
+def pool2d_masked(x, kernel, stride=None, pad=(0, 0)):
+    """`tensor.pool2d` with the backward as one masked add per kernel tap.
+
+    Tap k adds `g * (argmax == k)` into its strided view of the input
+    gradient, taps in row-major order, so each input sums its
+    contributions in tap order.  The forward is `tensor.pool2d`'s.
+    """
+    xv = x.data
+    batched = xv.ndim == 4
+    if not batched:
+        xv = xv[None]
+    kh, kw = kernel
+    sh, sw = stride if stride is not None else kernel
+    ph, pw = pad
+    th, tf = xv.shape[1], xv.shape[2]
+    oh = T.conv_out_extent(th, kh, sh, ph)
+    ow = T.conv_out_extent(tf, kw, sw, pw)
+    xp = np.pad(xv, ((0, 0), (ph, ph), (pw, pw), (0, 0)), constant_values=-np.inf)
+
+    def tap(arr, ih, iw):
+        return arr[:, ih : ih + (oh - 1) * sh + 1 : sh, iw : iw + (ow - 1) * sw + 1 : sw, :]
+
+    yv = tap(xp, 0, 0).copy()
+    am = np.zeros(yv.shape, dtype=np.int32)
+    for k in range(1, kh * kw):
+        t = tap(xp, *divmod(k, kw))
+        np.maximum(am, np.multiply(t > yv, k, dtype=am.dtype), out=am)
+        np.maximum(yv, t, out=yv)
+    out = T.Tensor(yv if batched else yv[0])
+
+    def bwd(g):
+        g = g if batched else g[None]
+        gx = np.zeros_like(xp)
+        for k in range(kh * kw):
+            dst = tap(gx, *divmod(k, kw))
+            dst += g * (am == k)
+        gx = gx[:, ph : ph + th, pw : pw + tf, :]
+        T._accum(x, gx if batched else gx[0])
+
+    return T._record((x,), out, bwd)
+
+
+def batch_norm_narrow(x, state, mode="train", act=None):
+    """`tensor.batch_norm` with every per-channel broadcast on (N, C) rows.
+
+    Each `x ∘ v[c]` runs as numpy's broadcast of a C-vector over the flat
+    (N, C) array, and the ReLU backward multiplies by the bool mask.
+    """
+    xv = x.data
+    c = xv.shape[-1]
+    gamma, beta = state.gamma, state.beta
+    eps = np.asarray(state.eps, dtype=xv.dtype)
+
+    if mode == "train":
+        flat = xv.reshape(-1, c)
+        n = flat.shape[0]
+        mu = np.einsum("nc->c", flat) / n
+        xc = flat - mu
+        var = np.einsum("nc,nc->c", xc, xc) / n
+        m = state.momentum
+        state.running_mean = ((1 - m) * state.running_mean + m * mu).astype(xv.dtype)
+        state.running_var = ((1 - m) * state.running_var + m * var).astype(xv.dtype)
+        invstd = 1.0 / np.sqrt(var + eps)
+        ov = xc * (invstd * gamma.data)
+        ov += beta.data
+        if act is not None:
+            np.maximum(ov, 0.0, out=ov)
+        out = T.Tensor(ov.reshape(xv.shape))
+
+        def bwd(g):
+            if act is not None:
+                g = g * (out.data > 0)
+            gf = g.reshape(-1, c)
+            s1 = np.einsum("nc->c", gf)
+            s2 = np.einsum("nc,nc->c", gf, xc)
+            T._accum(beta, s1)
+            T._accum(gamma, s2 * invstd)
+            if not x.requires_grad:
+                return
+            gd = gamma.data
+            dx = gf * (gd * invstd)
+            dx -= xc * (s2 * gd / n * (invstd**3))
+            dx -= s1 * gd / n * invstd
+            T._accum(x, dx.reshape(xv.shape))
+
+    else:
+        mean = state.running_mean
+        invstd = 1.0 / np.sqrt(state.running_var + eps)
+        ov = np.subtract(xv, mean)
+        ov *= invstd
+        ov *= gamma.data
+        ov += beta.data
+        if act is not None:
+            np.maximum(ov, 0.0, out=ov)
+        out = T.Tensor(ov)
+
+        def bwd(g):
+            if act is not None:
+                g = g * (out.data > 0)
+            axes = tuple(range(xv.ndim - 1))
+            xhat = (xv - mean) * invstd
+            T._accum(beta, g.sum(axis=axes))
+            T._accum(gamma, (g * xhat).sum(axis=axes))
+            T._accum(x, g * (gamma.data * invstd))
+
+    return T._record((x, gamma, beta), out, bwd)

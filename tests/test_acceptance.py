@@ -27,8 +27,8 @@ from dattnet.scoring import (
     fuse_scores,
     pair_difference_product,
 )
-from dattnet.training import TrainConfig, train_model
-from oracles import am_softmax_prob
+from dattnet.training import TrainConfig, config_from_dict, train_model
+from oracles import am_softmax_prob, batch_norm_narrow, pool2d_masked
 
 TINY_MODEL = BackboneConfig(
     mel_bins=16, channels=(2, 2, 4, 4), blocks_per_stage=(1, 1, 1, 1), num_f=4, num_id=3
@@ -426,6 +426,37 @@ def test_c09_deterministic_reruns_are_bit_identical(tmp_path, monkeypatch, capsy
     assert artifacts[0][0] == artifacts[1][0]  # checkpoint bytes
     assert artifacts[0][1] == artifacts[1][1]  # score CSV bytes
     print(f"checkpoint {len(artifacts[0][0])} bytes, csv {len(artifacts[0][1])} bytes")
+
+
+def test_c09_training_bits_match_narrow_oracles(monkeypatch):
+    # the engine's wide-row batch norm and scatter pool backward must train
+    # to the very bits of the narrow-row oracles: losses, every parameter,
+    # every running statistic and the calibrated norm stats
+    cfg = config_from_dict(TINY_RUN)
+    assert cfg.epochs * cfg.steps_per_epoch == 2
+
+    def train():
+        model, norm_stats, log = train_model(cfg)
+        state = {name: p.data for name, p in model.named_params()}
+        for name, bn in model.named_bn_states():
+            state[f"{name}.running_mean"] = bn.running_mean
+            state[f"{name}.running_var"] = bn.running_var
+        losses = np.array([[r["loss_id"], r["loss_binary"], r["loss_all"]] for r in log])
+        return losses, state, norm_stats
+
+    engine = train()
+    monkeypatch.setattr(T, "batch_norm", batch_norm_narrow)
+    monkeypatch.setattr(T, "pool2d", pool2d_masked)
+    oracle = train()
+
+    assert_array_equal(engine[0].view(np.uint64), oracle[0].view(np.uint64))
+    assert engine[1].keys() == oracle[1].keys()
+    for name, got in engine[1].items():
+        want = oracle[1][name]
+        assert got.dtype == want.dtype == np.float32, name
+        assert_array_equal(got.view(np.uint32), want.view(np.uint32), err_msg=name)
+    assert engine[2] == oracle[2]
+    print(f"{len(engine[1])} arrays and {engine[0].size} losses bit-identical")
 
 
 def expected_trunk_extent(n):

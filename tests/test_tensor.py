@@ -2,7 +2,8 @@
 
 Every differentiable op is checked against central finite differences in
 float64 (h=1e-5, relative error < 1e-4).  The convolution forward is
-additionally checked bit for bit against a naive nested-loop reference.
+additionally checked bit for bit against a naive nested-loop reference, and
+batch norm and the max-pool backward against their narrow-row oracles.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from dattnet import tensor as T
 from dattnet.errors import InputError, NumericError, ShapeError, TapeError
+from oracles import batch_norm_narrow, pool2d_masked
 
 
 def fd_grad(f, x, h=1e-5):
@@ -258,6 +260,130 @@ class TestPool2d:
         for idx, src in want_src.items():
             want[src] += g[idx]
         np.testing.assert_array_equal(grad_of(g), want)
+
+
+def bits(a):
+    """The IEEE bit pattern of a float array, for exact comparisons."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+def assert_same_bits(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    np.testing.assert_array_equal(bits(got), bits(want), err_msg=what)
+
+
+class TestPool2dScatterBitwise:
+    """pool2d's one reverse-raster scatter against one masked add per tap."""
+
+    @staticmethod
+    def run(pool, x, g, args):
+        xt = T.parameter(x)
+        with T.GraphTape() as tape:
+            y = pool(xt, *args)
+            loss = T.sum_over(T.mul(y, T.Tensor(g)))
+        T.backward(loss, tape)
+        return y.data, xt.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape, args",
+        [
+            ((2, 30, 16, 3), ((3, 3), (2, 2), (1, 1))),
+            ((2, 30, 16, 3), ((3, 1), (2, 1), (1, 0))),
+            ((2, 30, 16, 3), ((2, 2), (2, 2), (0, 0))),
+            ((2, 30, 16, 3), ((2, 2),)),
+            ((31, 17, 5), ((3, 3), (2, 2), (1, 1))),  # 3-d, odd extents
+        ],
+    )
+    def test_matches_masked_taps(self, dtype, shape, args):
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=shape).astype(dtype)  # random, so maxima cluster
+        g = rng.normal(size=T.pool2d(T.Tensor(x), *args).data.shape).astype(dtype)
+        want_y, want_gx = self.run(pool2d_masked, x, g, args)
+        got_y, got_gx = self.run(T.pool2d, x, g, args)
+        assert_same_bits(got_y, want_y, "forward")
+        assert_same_bits(got_gx, want_gx, "input gradient")
+        if args[0] == (3, 3):
+            # the order of an input's terms matters only where it has three
+            # or more of them; make sure the case is exercised
+            _, counts = self.run(T.pool2d, x, np.ones_like(g), args)
+            assert (counts >= 3).sum() >= 10
+
+
+class TestBatchNormWideRowsBitwise:
+    """batch_norm on wide rows against the narrow (N, C) oracle, bit for bit."""
+
+    @staticmethod
+    def run(bn, x, c, mode, act, concat_grad, seed=41):
+        rng = np.random.default_rng(seed)
+        dtype = x.dtype
+        st = T.BNState(c, dtype=dtype)
+        st.gamma = T.parameter(rng.normal(size=c).astype(dtype) + 1.0)
+        st.beta = T.parameter(rng.normal(size=c).astype(dtype))
+        st.running_mean = rng.normal(size=c).astype(dtype)
+        st.running_var = rng.uniform(0.2, 3.0, size=c).astype(dtype)
+        xt = T.parameter(x)
+        with T.GraphTape() as tape:
+            y = bn(xt, st, mode, act=act)
+            z = y
+            if concat_grad:
+                # concat's backward hands y the non-contiguous slice
+                # g[..., :c] of a (..., c + 1) gradient, as in Preprocess
+                extra = T.parameter(np.ones(x.shape[:-1] + (1,), dtype=dtype))
+                z = T.concat([y, extra], axis=-1)
+            w = rng.normal(size=z.data.shape).astype(dtype)
+            loss = T.sum_over(T.mul(z, T.Tensor(w)))
+        T.backward(loss, tape)
+        return {
+            "out": y.data,
+            "running_mean": st.running_mean,
+            "running_var": st.running_var,
+            "dx": xt.grad,
+            "dgamma": st.gamma.grad,
+            "dbeta": st.beta.grad,
+        }
+
+    def check(self, x, c, mode, act=None, concat_grad=False):
+        want = self.run(batch_norm_narrow, x, c, mode, act, concat_grad)
+        got = self.run(T.batch_norm, x, c, mode, act, concat_grad)
+        for key in want:
+            assert_same_bits(got[key], want[key], f"{key} ({mode}, act={act})")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 8, 16, 17, 64])
+    @pytest.mark.parametrize("act", [None, "relu"])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_matches_narrow(self, dtype, c, act, mode):
+        rng = np.random.default_rng(42)
+        # 1536 rows give a wide view (w > 1) for every c here; 7 * 13 = 91
+        # rows share no factor with any 1024 // c here, so they take w = 1
+        for shape in ((2, 48, 16, c), (7, 13, c)):
+            x = (2.0 * rng.normal(size=shape) + 0.3).astype(dtype)
+            self.check(x, c, mode, act)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_non_contiguous_input(self, dtype, mode):
+        rng = np.random.default_rng(43)
+        x = (rng.normal(size=(3, 40, 12, 8)) + 0.5).astype(dtype)
+        views = (
+            x[:, ::2, 1::3],  # strided: its flat rows are a copy
+            np.asfortranarray(x[0].reshape(-1, 8)),  # transposed flat rows
+            x[..., 1:],  # channel slice: strided flat rows
+        )
+        for view in views:
+            assert not view.flags.c_contiguous
+            for act in (None, "relu"):
+                self.check(view, view.shape[-1], mode, act)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_non_contiguous_gradient(self, dtype, mode):
+        rng = np.random.default_rng(44)
+        x = (rng.normal(size=(2, 30, 16, 16)) - 0.2).astype(dtype)
+        for act in (None, "relu"):
+            self.check(x, 16, mode, act, concat_grad=True)
 
 
 class TestBatchNorm:
