@@ -47,11 +47,15 @@ class AttentionParams(Module):
         return self.mutual_fc1, self.mutual_bn, self.mutual_fc2
 
 
+def attention_hidden(f_raw, params, which, mode):
+    """The hidden layer of compute_f_att: relu(bn(fc1(f_raw)))."""
+    fc1, bn, _ = params.stack(which)
+    return bn(fc1(f_raw), mode, act="relu")
+
+
 def compute_f_att(f_raw, params, which, mode):
     """Per-frame two-layer transform of f_raw; no cross-frame mixing."""
-    fc1, bn, fc2 = params.stack(which)
-    h = bn(fc1(f_raw), mode, act="relu")
-    return fc2(h)
+    return params.stack(which)[2](attention_hidden(f_raw, params, which, mode))
 
 
 def _time_axis(t):

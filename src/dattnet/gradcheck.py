@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionParams, compute_f_att, mutual_attention_grid, self_attention
+from .attention import (
+    AttentionParams,
+    attention_hidden,
+    compute_f_att,
+    mutual_attention_grid,
+    self_attention,
+)
 from .backbone import Dense
 from .features import generate_synthetic_corpus
 from .model import DattModel
@@ -24,8 +30,9 @@ from .training import TrainConfig, build_pair_batch, pair_batch_losses
 FD_H = 1e-5
 # The whole-model loss has millions of relu/max-pool kinks; a probe that
 # pushes any pre-activation across zero breaks the central difference, so
-# each entry is tried at two widths and keeps the better agreement. Both
-# widths stay far above float64 roundoff.
+# each entry is tried at two widths, wide then narrow, and keeps the better
+# agreement (see _model_entry_error for a kink inside both). Both widths
+# stay far above float64 roundoff.
 MODEL_FD_H = (1e-6, 3e-7)
 TOLERANCE = 1e-4
 # A loss evaluated through millions of rounded float64 ops jitters at
@@ -35,26 +42,39 @@ TOLERANCE = 1e-4
 # agreements instead of 0/0. The unit checks above certify every op's
 # math far tighter; this stage certifies the composition.
 MODEL_GRAD_FLOOR = 2e-3
+# The unit checks instead find the entries whose gradient is zero by
+# structure and require those to be zero up to float64 roundoff.
+ZERO_GRAD_ATOL = 1e-12
 
 
 def _rel_err(a, b, floor=1e-6):
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def _check_graph(build, leaves, rng, n_entries=6, h=FD_H):
+def _check_graph(build, leaves, rng, n_entries=6, h=FD_H, zeros=None):
     """Max relative error of reverse-mode grads vs central differences.
 
     build() assembles the graph from the current leaf values and returns
-    the scalar loss; it is re-run untaped for each probe.
+    the scalar loss; it is re-run untaped for each probe.  zeros maps a
+    leaf to a boolean mask of the entries whose gradient is zero by
+    structure: a difference quotient there is pure roundoff, so those
+    entries must be exactly zero (|analytic| <= ZERO_GRAD_ATOL, error 1
+    otherwise) and are skipped among the sampled ones.
     """
+    zeros = zeros or {}
     with T.GraphTape() as tape:
         loss = build()
     T.backward(loss, tape)
     worst = 0.0
     for leaf in leaves:
+        zero = zeros.get(leaf, np.zeros(leaf.data.shape, dtype=bool))
+        if zero.any():
+            worst = max(worst, float(np.abs(leaf.grad[zero]).max() > ZERO_GRAD_ATOL))
         size = leaf.data.size
         idxs = rng.choice(size, size=min(n_entries, size), replace=False)
         for idx in idxs:
+            if zero.flat[idx]:
+                continue
             orig = leaf.data.flat[idx]
             leaf.data.flat[idx] = orig + h
             lp = float(build().data)
@@ -154,6 +174,31 @@ def _attention_leaves(params, which):
     return [fc1.weight, fc1.bias, bn.state.gamma, bn.state.beta, fc2.weight, fc2.bias]
 
 
+def _attention_zeros(params, which, f_raw):
+    """Masks of the stack's entries whose gradient is zero by structure.
+
+    fc1.bias feeds a train-mode BN, which subtracts it back out.  A shift of
+    f_att that is constant over an utterance's frames moves the mutual
+    logits by a constant over time, which the time softmax cancels: so
+    fc2.bias, and BN beta[j] when channel j's ReLU is on at every frame or
+    off at every frame of each utterance.  The self logits scale f_att by
+    its own time mean, which such a shift does not cancel; there beta[j] is
+    zero only when channel j is off at every frame.
+    """
+    fc1, bn, fc2 = params.stack(which)
+    # the train-mode BN normalizes by batch statistics, so the running
+    # averages this extra pass moves do not enter the checked loss
+    on = attention_hidden(f_raw, params, which, "train").data > 0  # (utts, T', num_f)
+    silent = ~on.any(axis=-2)
+    if which == "mutual":
+        silent |= on.all(axis=-2)
+    return {
+        fc1.bias: np.ones(fc1.bias.data.shape, dtype=bool),
+        bn.state.beta: silent.all(axis=0),
+        fc2.bias: np.full(fc2.bias.data.shape, which == "mutual"),
+    }
+
+
 def _unit_attention_self(rng):
     params = AttentionParams(rng, 6, 5, shared=False, dtype=np.float64)
     f_raw = T.parameter(rng.normal(size=(2, 4, 6)))
@@ -167,7 +212,8 @@ def _unit_attention_self(rng):
         return T.add(_projected(w, proj_w), _projected(f_self, proj_f))
 
     leaves = [f_raw, f_id] + _attention_leaves(params, "self")
-    return _check_graph(build, leaves, rng, n_entries=4)
+    zeros = _attention_zeros(params, "self", f_raw)
+    return _check_graph(build, leaves, rng, n_entries=4, zeros=zeros)
 
 
 def _unit_attention_mutual(rng):
@@ -182,7 +228,8 @@ def _unit_attention_mutual(rng):
         return _projected(mutual_attention_grid(att, f_id, f_self_other), proj)
 
     leaves = [f_raw, f_id, f_self_other] + _attention_leaves(params, "mutual")
-    return _check_graph(build, leaves, rng, n_entries=4)
+    zeros = _attention_zeros(params, "mutual", f_raw)
+    return _check_graph(build, leaves, rng, n_entries=4, zeros=zeros)
 
 
 def _unit_sigmoid_head(rng):
@@ -234,7 +281,45 @@ def _group_of(name):
     return "fc"
 
 
-def check_model_gradients(seed=0, plan=None, hs=MODEL_FD_H):
+def _kink_inside(l0, probes):
+    """Whether a kink lies inside the narrow probe.
+
+    probes holds (h, loss(x + h), loss(x - h)) at the wide and then the
+    narrow width; l0 is loss(x).  On a smooth piece the forward and backward
+    quotients differ by h * f''(x) + O(h^3), so their gap shrinks in
+    proportion to h: the narrow width leaves 3e-7/1e-6 = 0.3 of the wide
+    gap.  A kink inside the narrow probe adds a slope jump that does not
+    shrink with h.  It is found when, at the narrow width, the two quotients
+    disagree by more than TOLERANCE and keep over half the wide gap.
+    """
+    (hw, lpw, lmw), (hn, lpn, lmn) = probes
+    gap_wide = (lpw - 2 * l0 + lmw) / hw
+    fwd, bwd = (lpn - l0) / hn, (l0 - lmn) / hn
+    return (
+        _rel_err(fwd, bwd, MODEL_GRAD_FLOOR) > TOLERANCE
+        and abs(fwd - bwd) > 0.5 * abs(gap_wide)
+    )
+
+
+def _model_entry_error(a, l0, probes):
+    """Relative error of one sampled entry's reverse-mode gradient a.
+
+    The central difference is the criterion, the better of the two widths.
+    Only where it fails at both and _kink_inside finds a kink inside the
+    narrow probe is the entry judged by a one-sided quotient at the narrow
+    width: there the central difference averages the slopes of the two
+    pieces meeting at the kink, while each one-sided quotient sees one piece
+    alone, and the reverse-mode gradient is the slope of one of them.  So
+    every entry the central difference passes keeps its verdict.
+    """
+    err = min(_rel_err(a, (lp - lm) / (2 * h), MODEL_GRAD_FLOOR) for h, lp, lm in probes)
+    if err < TOLERANCE or not _kink_inside(l0, probes):
+        return err
+    h, lp, lm = probes[-1]
+    return min(_rel_err(a, fd, MODEL_GRAD_FLOOR) for fd in ((lp - l0) / h, (l0 - lm) / h))
+
+
+def check_model_gradients(seed=0, plan=None):
     """Whole-model check: desk-sized net, pair loss, sampled parameters.
 
     Returns (per-group max relative error, number of sampled entries).
@@ -245,10 +330,7 @@ def check_model_gradients(seed=0, plan=None, hs=MODEL_FD_H):
     corpus = generate_synthetic_corpus(
         cfg.num_speakers, cfg.utts_per_speaker, cfg.seed, cfg.noise_sigma, cfg.mel_bins
     )
-    model = DattModel(
-        cfg.backbone_config(), cfg.seed, cfg.shared_attention, cfg.dropout_rate,
-        dtype=np.float64,
-    )
+    model = DattModel(cfg.backbone_config(), cfg.seed, dtype=np.float64)
     batch_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 10)))
     batch = build_pair_batch(corpus, cfg, batch_rng)
 
@@ -260,6 +342,7 @@ def check_model_gradients(seed=0, plan=None, hs=MODEL_FD_H):
     with T.GraphTape() as tape:
         loss = loss_fn()
     T.backward(loss, tape)
+    l0 = float(loss_fn().data)
 
     groups = {}
     for name, p in model.named_params():
@@ -280,17 +363,14 @@ def check_model_gradients(seed=0, plan=None, hs=MODEL_FD_H):
                     break
             leaf = params[pi]
             orig = leaf.data.flat[idx]
-            a = float(leaf.grad.flat[idx])
-            best = np.inf
-            for h in hs:
+            probes = []
+            for h in MODEL_FD_H:
                 leaf.data.flat[idx] = orig + h
                 lp = float(loss_fn().data)
                 leaf.data.flat[idx] = orig - h
-                lm = float(loss_fn().data)
-                fd = (lp - lm) / (2 * h)
-                best = min(best, _rel_err(a, fd, MODEL_GRAD_FLOOR))
+                probes.append((h, lp, float(loss_fn().data)))
             leaf.data.flat[idx] = orig
-            worst = max(worst, best)
+            worst = max(worst, _model_entry_error(float(leaf.grad.flat[idx]), l0, probes))
             n_sampled += 1
         errors[group] = worst
     return errors, n_sampled

@@ -281,16 +281,25 @@ def train_step(model, batch, cfg, optimizer, lr_scale, dropout_rng):
 
 
 def _tune_allocator():
-    """Raise glibc's mmap threshold so big activation temps reuse the heap.
+    """Keep a step's big temporaries on heap pages that stay mapped.
 
-    Each step allocates hundreds of MB of short-lived arrays; without this
-    they round-trip through mmap/munmap and fault in fresh pages every time.
-    Best effort: silently skipped off glibc.
+    Each step allocates and frees hundreds of MB of short-lived arrays.
+    Setting either threshold below turns off glibc's dynamic thresholds, so
+    both are needed:
+    - the mmap threshold keeps arrays over 32 MB (the dynamic threshold's
+      ceiling) on the heap instead of in a fresh mmap each;
+    - the trim threshold keeps the freed heap top mapped; left at its
+      128 KB default, every step hands its heap back to the kernel and the
+      next step faults it in again.
+    The cost: the process holds its peak heap, which every step reaches
+    anyway.  Best effort: silently skipped off glibc.
     """
     try:
         import ctypes
 
-        ctypes.CDLL("libc.so.6").mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD
+        libc = ctypes.CDLL("libc.so.6")
+        libc.mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
     except Exception:
         pass
 
@@ -302,9 +311,7 @@ def train_model(cfg, corpus=None, log_fn=None):
         corpus = generate_synthetic_corpus(
             cfg.num_speakers, cfg.utts_per_speaker, cfg.seed, cfg.noise_sigma, cfg.mel_bins
         )
-    model = DattModel(
-        cfg.backbone_config(), cfg.seed, cfg.shared_attention, cfg.dropout_rate
-    )
+    model = DattModel(cfg.backbone_config(), cfg.seed)
     optimizer = SGD(model, cfg)
     batch_rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 4)))
     dropout_rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 5)))

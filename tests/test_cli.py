@@ -118,9 +118,7 @@ class TestTrain:
         ckpt, _ = train_tiny(tmp_path, lambda_=0.0)
         model, _, _ = load_checkpoint(ckpt)
         cfg = config_from_dict(dict(TINY))
-        fresh = DattModel(
-            cfg.backbone_config(), cfg.seed, cfg.shared_attention, cfg.dropout_rate
-        )
+        fresh = DattModel(cfg.backbone_config(), cfg.seed)
         trained = dict(model.named_params())
         moved = 0
         for name, p in fresh.named_params():

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dattnet
 from dattnet import tensor as T
 from dattnet.errors import ConfigError, InputError, ShapeError
 from dattnet.features import FBankMatrix, generate_synthetic_corpus
@@ -432,3 +437,32 @@ class TestTrainModel:
         train_model(cfg, log_fn=seen.append)
         assert len(seen) == cfg.epochs * cfg.steps_per_epoch
         assert seen[0]["step"] == 0
+
+
+# Runs in a fresh interpreter, so the heap it measures is the run's alone.
+_FAULT_PROBE = """
+import json, resource, sys
+from dattnet import training
+faults = []
+training.train_model(
+    training.config_from_dict(json.loads(sys.argv[1])),
+    log_fn=lambda row: faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt),
+)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator tuning is glibc-only")
+def test_steady_train_step_faults_in_no_fresh_heap():
+    # a (4,100,64,8) activation is 800 KB, far above glibc's 128 KB default
+    # trim threshold: if the freed heap top went back to the kernel, every
+    # step would fault thousands of pages in again
+    cfg = tiny_cfg(mel_bins=64, channels=(8, 8, 8, 8), epochs=1, steps_per_epoch=5)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dattnet.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE, json.dumps(config_to_dict(cfg))],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    per_step = np.diff(json.loads(out))  # steps 1-4, counted from each log row
+    steady = per_step[1:]  # after 2 warm-up steps
+    assert np.median(steady) <= 256, f"minor faults per step: {per_step}"
