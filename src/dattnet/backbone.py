@@ -3,7 +3,15 @@
 Input is a batch of log-mel crops shaped (B, T, F, 1).  A normalization
 layer feeds two parallel streams: a 7x7 convolution (16 filters) and a
 frequency-wise dense map that treats the F bins as channels, so patterns at
-different frequency positions stop being interchangeable.  Their
+different frequency positions stop being interchangeable.  Both streams are
+linear in the input, so the normalization's scalar affine is folded into
+them (batch-norm folding): `bn_in` only standardizes the frames, and each
+map convolves gamma * xhat + beta through conv2d's `input_affine`.  The
+frames need no gradient, so neither map computes one; gamma and beta take
+theirs from the maps' weight-gradient products.  Inference, which records
+no tape, applies the affine to the frames, bit for bit as the unfolded
+layer did.  `bn_in` keeps its state and names, so checkpoints are laid out
+as before.  Their
 concatenation passes through a 1x1 convolution into a four-stage residual
 trunk (3x3 basic blocks, projection shortcuts on downsampling).  The head
 averages out frequency (f_raw), maps frames to num_f (f_id), averages out
@@ -96,8 +104,8 @@ class Conv2d(Module):
         self.stride = stride
         self.pad = pad
 
-    def __call__(self, x):
-        return T.conv2d(x, self.weight, self.stride, self.pad)
+    def __call__(self, x, input_affine=None):
+        return T.conv2d(x, self.weight, self.stride, self.pad, input_affine)
 
 
 class Dense(Module):
@@ -164,7 +172,7 @@ class Preprocess(Module):
         self.merge_conv = Conv2d(rng, 1, 1, self.STREAM1_FILTERS + 1, cfg.channels[0], (1, 1), (0, 0), dtype)
         self.merge_bn = BatchNorm(cfg.channels[0], dtype)
 
-    def frequency_map(self, x):
+    def frequency_map(self, x, input_affine=None):
         """Dense F->F map across frequency, shared over time (pre-norm).
 
         Treats the F bins of (B, T, F, 1) as channels of a (B, T, 1, F)
@@ -172,7 +180,7 @@ class Preprocess(Module):
         """
         b, t, f, _ = x.data.shape
         as_channels = T.reshape(x, (b, t, 1, f))
-        mixed = self.freq_conv(as_channels)
+        mixed = self.freq_conv(as_channels, input_affine)
         return T.reshape(mixed, (b, t, f, 1))
 
     def __call__(self, x, mode):
@@ -183,9 +191,11 @@ class Preprocess(Module):
                 f"input has {x.data.shape[2]} mel bins, model expects "
                 f"{self.freq_conv.weight.data.shape[2]}"
             )
-        normed = self.bn_in(x, mode)
-        s1 = self.stream1_bn(self.stream1_conv(normed), mode, act="relu")
-        s2 = self.stream2_bn(self.frequency_map(normed), mode, act="relu")
+        # bn_in's affine is folded into both maps (see the module docstring)
+        st = self.bn_in.state
+        xhat, affine = T.standardize(x, st, mode), (st.gamma, st.beta)
+        s1 = self.stream1_bn(self.stream1_conv(xhat, affine), mode, act="relu")
+        s2 = self.stream2_bn(self.frequency_map(xhat, affine), mode, act="relu")
         merged = T.concat([s1, s2], axis=3)
         return self.merge_bn(self.merge_conv(merged), mode, act="relu")
 

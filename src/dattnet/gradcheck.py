@@ -92,22 +92,26 @@ def _projected(y, proj):
 
 def _unit_conv(rng):
     worst = 0.0
+    # the last two fold an input affine (gamma, beta) into the conv
     cases = [
-        ((2, 10, 7, 3), (3, 3, 3, 4), (1, 1), (1, 1)),
-        ((2, 12, 9, 1), (7, 7, 1, 2), (1, 1), (3, 3)),
-        ((2, 10, 8, 3), (1, 1, 3, 5), (2, 2), (0, 0)),
-        ((2, 11, 9, 2), (3, 3, 2, 4), (2, 2), (1, 1)),
+        ((2, 10, 7, 3), (3, 3, 3, 4), (1, 1), (1, 1), False),
+        ((2, 12, 9, 1), (7, 7, 1, 2), (1, 1), (3, 3), False),
+        ((2, 10, 8, 3), (1, 1, 3, 5), (2, 2), (0, 0), False),
+        ((2, 11, 9, 2), (3, 3, 2, 4), (2, 2), (1, 1), False),
+        ((2, 12, 9, 1), (7, 7, 1, 2), (1, 1), (3, 3), True),
+        ((2, 11, 9, 2), (3, 3, 2, 4), (2, 2), (1, 1), True),
     ]
-    for xshape, wshape, stride, pad in cases:
+    for xshape, wshape, stride, pad, folded in cases:
         x = T.parameter(rng.normal(size=xshape))
         w = T.parameter(rng.normal(size=wshape) * 0.4)
-        probe = T.conv2d(x, w, stride, pad)
+        affine = tuple(T.parameter(rng.normal(size=1)) for _ in range(2)) if folded else None
+        probe = T.conv2d(x, w, stride, pad, affine)
         proj = rng.normal(size=probe.data.shape)
 
-        def build(x=x, w=w, stride=stride, pad=pad, proj=proj):
-            return _projected(T.conv2d(x, w, stride, pad), proj)
+        def build(x=x, w=w, stride=stride, pad=pad, affine=affine, proj=proj):
+            return _projected(T.conv2d(x, w, stride, pad, affine), proj)
 
-        worst = max(worst, _check_graph(build, [x, w], rng))
+        worst = max(worst, _check_graph(build, [x, w, *(affine or ())], rng))
     return worst
 
 
@@ -322,7 +326,10 @@ def _model_entry_error(a, l0, probes):
 def check_model_gradients(seed=0, plan=None):
     """Whole-model check: desk-sized net, pair loss, sampled parameters.
 
-    Returns (per-group max relative error, number of sampled entries).
+    `plan` maps a parameter group (MODEL_SAMPLE_PLAN's keys) or one named
+    parameter, such as "backbone.pre.bn_in.state.gamma", to the number of
+    entries to sample from it.  Returns (max relative error per plan key,
+    number of sampled entries).
     """
     plan = dict(MODEL_SAMPLE_PLAN if plan is None else plan)
     # short crops keep the kink count down and each probe cheap
@@ -347,6 +354,7 @@ def check_model_gradients(seed=0, plan=None):
     groups = {}
     for name, p in model.named_params():
         groups.setdefault(_group_of(name), []).append(p)
+        groups[name] = [p]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 12)))
     errors = {}
     n_sampled = 0

@@ -19,6 +19,12 @@ Layout rule: arrays are channels-last, so a per-channel broadcast
 exact: an elementwise IEEE operation rounds each element on its own, so its
 result does not depend on the loop shape.  Reductions are left as they are,
 on the (N, C) view, because their summation order does depend on it.
+
+For the same reason train-mode `batch_norm` may run its chains of
+elementwise passes (forward scale, shift and ReLU; the three dx updates)
+over ~512 KB blocks of wide rows (`_row_blocks`), reading each block from
+memory once per chain.  Its reductions, and the ReLU mask product, which
+may read a concat's strided gradient slice, run once over whole arrays.
 """
 
 from __future__ import annotations
@@ -295,16 +301,6 @@ def _conv2d_grads(xp, wv, g, sh, sw, oh, ow, patches, need_dx=True):
     if kh == kw == 1 and sh == sw == 1 and xp.shape[1:3] == (oh, ow):
         return gw, (gflat @ wv.reshape(cin, cout).T).reshape(xp.shape)
     gx = np.zeros_like(xp)
-    if cin == 1:
-        # tap-major layout: each row of the GEMM result is one contiguous
-        # (b, oh, ow) plane, so the scatter below streams sequentially
-        gcol_t = (wv.reshape(kh * kw, cout) @ gflat.T).reshape(kh, kw, b, oh, ow, 1)
-        for ih in range(kh):
-            for iw in range(kw):
-                gx[:, ih : ih + (oh - 1) * sh + 1 : sh, iw : iw + (ow - 1) * sw + 1 : sw, :] += (
-                    gcol_t[ih, iw]
-                )
-        return gw, gx
     # one small GEMM per kernel tap keeps both the product and the
     # scatter-add contiguous; beats building the full column matrix
     for ih in range(kh):
@@ -316,12 +312,28 @@ def _conv2d_grads(xp, wv, g, sh, sw, oh, ow, patches, need_dx=True):
     return gw, gx
 
 
-def conv2d(x, w, stride=(1, 1), pad=(0, 0)):
+def _inside_taps(n, k, stride, pad, out, dtype):
+    """(out, k) 0/1 matrix: whether tap i of output o reads a cell of the
+    n-long input rather than its zero padding."""
+    at = np.arange(out)[:, None] * stride + np.arange(k) - pad
+    return ((at >= 0) & (at < n)).astype(dtype)
+
+
+def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
     """2-d cross-correlation over (time, freq) with channels-last layout.
 
     x: (T, F, Cin) or (B, T, F, Cin); w: (kh, kw, Cin, Cout).  No bias: every
     conv in the model feeds a batch norm, whose shift plays that role.
     Padding is zero-padding on both spatial axes.
+
+    `input_affine=(gamma, beta)`, one-element tensors, convolves the
+    zero-padded gamma * x + beta.  Under a tape it is folded in, as
+    conv(x; gamma * w) + beta * conv(1; w): conv(1; w), of the zero-padded
+    ones image, is one map plus edge-row corrections, added in place, and the
+    backward reads dW = gamma P_x^T g + beta P_1^T g, dgamma = <w, P_x^T g>
+    and dbeta = <w, P_1^T g> off dW's one GEMM and the batch-summed g, with
+    no dx unless x needs one.  Unrecorded (inference), it forms
+    gamma * x + beta: one pass over the input, not the output.
     """
     xv = x.data
     batched = xv.ndim == 4
@@ -345,31 +357,62 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0)):
             f"conv2d output extent non-positive: input {th}x{tf}, kernel {kh}x{kw}, "
             f"stride {stride}, pad {pad} -> {oh}x{ow}"
         )
+    inputs = (x, w) if input_affine is None else (x, w, *input_affine)
+    weff = wv
+    if input_affine is not None:
+        gamma, beta = input_affine
+        if _recording(inputs) is None:
+            # no backward will run, and the affine costs a pass over the
+            # input here against one over the (cout times larger) output
+            xv, input_affine = xv * gamma.data + beta.data, None
+        else:
+            scale, shift = gamma.data.reshape(()), beta.data.reshape(())
+            weff = wv * scale
+            cols = _inside_taps(tf, kw, sw, pw, ow, wv.dtype)  # (ow, kw)
+            wsum = wv.sum(axis=2)  # the ones image has every channel set
+            taps = cols @ wsum  # (kh, ow, cout): conv(1; w) of each row of taps
+            # an output row sums all kh rows of taps but those in the
+            # padding, -1 in `gap`; only the few edge rows have any
+            gap = _inside_taps(th, kh, sh, ph, oh, wv.dtype) - 1  # (oh, kh)
+            edge = np.flatnonzero(gap.any(axis=1))
+            gap = gap[edge]
     xp = np.pad(xv, ((0, 0), (ph, ph), (pw, pw), (0, 0))) if (ph or pw) else xv
 
     exact = xv.dtype == np.float64
     patches = None
     if exact:
-        yv = _conv_forward_exact(xp, wv, oh, ow, sh, sw, xv.dtype)
+        yv = _conv_forward_exact(xp, weff, oh, ow, sh, sw, xv.dtype)
     else:
         patches = _conv_patches(xp, kh, kw, oh, ow, sh, sw)
-        yv = (patches @ wv.reshape(-1, cout)).reshape(xv.shape[0], oh, ow, cout)
+        yv = (patches @ weff.reshape(-1, cout)).reshape(xv.shape[0], oh, ow, cout)
+    if input_affine is not None:
+        # in place, with no temporary the size of the output
+        yv += shift * taps.sum(axis=0)
+        yv[:, edge] += shift * np.tensordot(gap, taps, 1)
     if not batched:
         yv = yv[0]
     out = Tensor(yv)
 
     def bwd(g):
         gb = g if batched else g[None]
-        gw, gx = _conv2d_grads(xp, wv, gb, sh, sw, oh, ow, patches, x.requires_grad)
+        gw, gx = _conv2d_grads(xp, weff, gb, sh, sw, oh, ow, patches, x.requires_grad)
         if gx is not None:
             if ph or pw:
                 gx = gx[:, ph : ph + th, pw : pw + tf, :]
             if not batched:
                 gx = gx[0]
             _accum(x, gx)
+        if input_affine is not None:
+            # P_1^T g: the batch-summed gradient, summed over the taps the
+            # way conv(1; w) sums w
+            per_row = gb.sum(axis=(0, 1)) + np.tensordot(gap.T, gb[:, edge].sum(axis=0), 1)
+            g1 = cols.T @ per_row  # (kh, kw, cout)
+            _accum(gamma, np.vdot(wv, gw).reshape(gamma.data.shape))
+            _accum(beta, np.vdot(wsum, g1).reshape(beta.data.shape))
+            gw = scale * gw + shift * g1[:, :, None, :]
         _accum(w, gw)
 
-    return _record((x, w), out, bwd)
+    return _record(inputs, out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +548,53 @@ class BNState:
         return self.gamma.data.shape[0]
 
 
+def _row_blocks(a):
+    """Slices cutting the rows of 2-d `a` into blocks of about 512 KB, which
+    stay in cache through a chain of elementwise passes."""
+    step = max(1, (1 << 19) // (a.shape[1] * a.itemsize))
+    return [slice(i, i + step) for i in range(0, a.shape[0], step)]
+
+
+def _centred(xv, state, mode):
+    """Flat rows, centred wide rows, per-channel 1/std and `tile` of `xv`:
+    the batch statistics (biased variance), folded into the running ones
+    with the state's momentum, in train mode; the running ones in infer."""
+    c = xv.shape[-1]
+    if c != state.channels:
+        raise ShapeError(f"batch_norm: {c} channels vs state {state.channels}")
+    if mode not in ("train", "infer"):
+        raise InputError(f"unknown batch_norm mode {mode!r}")
+    eps = np.asarray(state.eps, dtype=xv.dtype)
+    # the flat (N, C) view lets the squared-sum reductions fuse without
+    # materializing extra temps
+    flat, wide, tile = _wide_rows(xv)
+    if mode == "infer":
+        xc = np.subtract(wide, tile(state.running_mean))
+        return flat, xc, 1.0 / np.sqrt(state.running_var + eps), tile
+    n = flat.shape[0]
+    # einsum streams the column reduction several times faster than
+    # mean(axis=0) at these shapes
+    mu = np.einsum("nc->c", flat) / n
+    xc = wide - tile(mu)
+    xcf = xc.reshape(n, c)
+    var = np.einsum("nc,nc->c", xcf, xcf) / n
+    m = state.momentum
+    state.running_mean = ((1 - m) * state.running_mean + m * mu).astype(xv.dtype)
+    state.running_var = ((1 - m) * state.running_var + m * var).astype(xv.dtype)
+    return flat, xc, 1.0 / np.sqrt(var + eps), tile
+
+
+def standardize(x, state, mode="train"):
+    """`batch_norm` without its affine, untracked: (x - mean) / std per
+    channel with `batch_norm`'s statistics in `mode`.  The layer's gamma and
+    beta go to what it feeds, as conv2d's `input_affine`."""
+    if _recording((x,)) is not None:
+        raise TapeError("standardize does not differentiate its input")
+    _, xc, invstd, tile = _centred(x.data, state, mode)
+    xc *= tile(invstd)
+    return Tensor(xc.reshape(x.data.shape))
+
+
 def batch_norm(x, state, mode="train", act=None):
     """Per-channel normalization over every axis but the last (channel) one.
 
@@ -519,40 +609,29 @@ def batch_norm(x, state, mode="train", act=None):
     Per-channel broadcasts run on the wide-row view (see the module
     docstring) and the column reductions on the flat (N, C) view, so the
     values, gradients and running statistics of both modes are, bit for
-    bit, those of the same expressions broadcast over (N, C) rows.
+    bit, those of the same expressions broadcast over (N, C) rows.  The
+    train-mode chains of elementwise passes run block by block of wide
+    rows (`_row_blocks`); the reductions and the ReLU mask product run on
+    whole arrays.
     """
     xv = x.data
-    c = xv.shape[-1]
-    if c != state.channels:
-        raise ShapeError(f"batch_norm: {c} channels vs state {state.channels}")
     if act not in (None, "relu"):
         raise InputError(f"unknown batch_norm activation {act!r}")
-    if mode not in ("train", "infer"):
-        raise InputError(f"unknown batch_norm mode {mode!r}")
     gamma, beta = state.gamma, state.beta
-    eps = np.asarray(state.eps, dtype=xv.dtype)
-    # the flat (N, C) view lets the squared-sum reductions fuse without
-    # materializing extra temps
-    flat, wide, tile = _wide_rows(xv)
+    flat, xc, invstd, tile = _centred(xv, state, mode)
 
     if mode == "train":
-        n = flat.shape[0]
-        # einsum streams the column reduction several times faster than
-        # mean(axis=0) at these shapes
-        mu = np.einsum("nc->c", flat) / n
-        xc = wide - tile(mu)
+        n, c = flat.shape
         xcf = xc.reshape(n, c)
-        var = np.einsum("nc,nc->c", xcf, xcf) / n
-        m = state.momentum
-        state.running_mean = ((1 - m) * state.running_mean + m * mu).astype(xv.dtype)
-        state.running_var = ((1 - m) * state.running_var + m * var).astype(xv.dtype)
-        invstd = 1.0 / np.sqrt(var + eps)
         # keep xc unscaled and fold invstd into the affine scale; the
         # backward reductions pick the invstd factor back up per channel
-        ov = xc * tile(invstd * gamma.data)
-        ov += tile(beta.data)
-        if act is not None:
-            np.maximum(ov, 0.0, out=ov)
+        scale, shift = tile(invstd * gamma.data), tile(beta.data)
+        ov = np.empty(xc.shape, dtype=np.result_type(xc, scale))
+        for r in _row_blocks(ov):
+            o = np.multiply(xc[r], scale, out=ov[r])
+            o += shift
+            if act is not None:
+                np.maximum(o, 0.0, out=o)
         out = Tensor(ov.reshape(xv.shape))
 
         def bwd(g):
@@ -568,18 +647,22 @@ def batch_norm(x, state, mode="train", act=None):
             if not x.requires_grad:
                 return
             gd = gamma.data
+            gwide = gf.reshape(xc.shape)
+            a = tile(gd * invstd)
+            b = tile(s2 * gd / n * (invstd**3))
+            d = tile(s1 * gd / n * invstd)
             # the masked gradient is a fresh buffer nothing else holds, so
             # dx takes it over rather than allocating another
-            dx = gf.reshape(xc.shape)
-            dx = np.multiply(dx, tile(gd * invstd), out=dx if act is not None else None)
-            dx -= xc * tile(s2 * gd / n * (invstd**3))
-            dx -= tile(s1 * gd / n * invstd)
+            dx = gwide if act is not None else np.empty(gwide.shape, np.result_type(gwide, a))
+            for r in _row_blocks(dx):
+                blk = np.multiply(gwide[r], a, out=dx[r])
+                blk -= xc[r] * b
+                blk -= d
             _accum(x, dx.reshape(xv.shape))
 
     else:
         mean = state.running_mean
-        invstd = 1.0 / np.sqrt(state.running_var + eps)
-        ov = np.subtract(wide, tile(mean))
+        ov = xc
         ov *= tile(invstd)
         ov *= tile(gamma.data)
         ov += tile(beta.data)

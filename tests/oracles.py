@@ -144,3 +144,14 @@ def batch_norm_narrow(x, state, mode="train", act=None):
             T._accum(x, g * (gamma.data * invstd))
 
     return T._record((x, gamma, beta), out, bwd)
+
+
+def preprocess_unfolded(pre, x, mode):
+    """`backbone.Preprocess` with bn_in as its own op: `batch_norm`'s affine
+    forms the normalised input, and each of the two maps differentiates it,
+    which carries bn_in's gradients back through its backward."""
+    normed = T.batch_norm(x, pre.bn_in.state, mode)
+    s1 = pre.stream1_bn(pre.stream1_conv(normed), mode, act="relu")
+    s2 = pre.stream2_bn(pre.frequency_map(normed), mode, act="relu")
+    merged = T.concat([s1, s2], axis=3)
+    return pre.merge_bn(pre.merge_conv(merged), mode, act="relu")

@@ -1,7 +1,10 @@
 """Backbone structure checks: stream behavior, extents, head identities."""
 
+import copy
+
 import numpy as np
 import pytest
+from oracles import preprocess_unfolded
 
 from dattnet import tensor as T
 from dattnet.backbone import Backbone, BackboneConfig, BasicBlock, Preprocess, predicted_trunk_shape
@@ -54,6 +57,63 @@ class TestPreprocess:
         y1 = pre.frequency_map(T.Tensor(x1)).data
         y2 = pre.frequency_map(T.Tensor(x2)).data
         assert not np.allclose(y1, y2)
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize("gamma, beta", [(1.3, -0.4), (0.0, 0.7), (-0.8, 0.0)])
+    def test_folded_input_norm_matches_unfolded_route(self, mode, gamma, beta):
+        # bn_in's affine folded into the stem conv and the frequency map
+        # against batch_norm's affine feeding two maps that differentiate
+        # their input; float64, so only the rounding of the two routes differs
+        rng = np.random.default_rng(12)
+        pre = Preprocess(rng, TINY_CFG, dtype=np.float64)
+        st = pre.bn_in.state
+        st.gamma.data[:], st.beta.data[:] = gamma, beta
+        st.running_mean[:], st.running_var[:] = 0.3, 2.0
+        x = T.Tensor(1.5 * rng.normal(size=(2, 20, TINY_CFG.mel_bins, 1)) + 0.2)
+        proj = T.Tensor(rng.normal(size=(2, 20, TINY_CFG.mel_bins, TINY_CFG.channels[0])))
+
+        def run(route):
+            p = copy.deepcopy(pre)
+            with T.GraphTape() as tape:
+                out = route(p, x, mode)
+                loss = T.sum_over(T.mul(out, proj))
+            T.backward(loss, tape)
+            return out.data, {name: t.grad for name, t in p.named_params()}, p.bn_in.state
+
+        def assert_close(got, want, what):
+            assert np.isfinite(got).all() and np.isfinite(want).all(), what
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), what
+
+        got_out, got, got_st = run(Preprocess.__call__)
+        want_out, want, want_st = run(preprocess_unfolded)
+        assert_close(got_out, want_out, "output")
+        # gamma's gradient is nearly zero, as the batch norms after the maps
+        # cancel a common scale: bound the pair by its larger member
+        pair = [f"bn_in.state.{k}" for k in ("gamma", "beta")]
+        assert_close(np.concatenate([got.pop(k) for k in pair]),
+                     np.concatenate([want.pop(k) for k in pair]), "bn_in gradients")
+        assert got.keys() == want.keys()
+        for name in want:
+            assert_close(got[name], want[name], name)
+        assert np.array_equal(got_st.running_mean, want_st.running_mean)
+        assert np.array_equal(got_st.running_var, want_st.running_var)
+
+        # the two maps alone; a tape makes them fold
+        affine = (st.gamma, st.beta)
+        xhat = T.standardize(x, copy.deepcopy(st), mode)
+        normed = T.batch_norm(x, copy.deepcopy(st), mode).data
+        with T.GraphTape():
+            stem, freq = pre.stream1_conv(xhat, affine), pre.frequency_map(xhat, affine)
+        assert_close(stem.data, pre.stream1_conv(T.Tensor(normed)).data, "stem")
+        assert_close(freq.data, pre.frequency_map(T.Tensor(normed)).data, "frequency map")
+
+        # with no tape the affine is applied to the input: in infer mode the
+        # very bits of the unfolded route, so eval output does not move
+        got, want = (route(copy.deepcopy(pre), x, mode).data
+                     for route in (Preprocess.__call__, preprocess_unfolded))
+        if mode == "infer":
+            assert np.array_equal(got, want)
+        assert_close(got, want, "untaped output")
 
     def test_mel_bin_mismatch(self):
         pre = Preprocess(np.random.default_rng(6), TINY_CFG)

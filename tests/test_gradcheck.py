@@ -187,6 +187,16 @@ class TestModelStage:
         errors, _ = check_model_gradients(seed=0, plan={"conv": 3})
         assert errors["conv"] > 100 * TOLERANCE
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_folded_input_norm_parameters(self, seed):
+        # bn_in's gamma and beta reach the loss only through the affine the
+        # stem conv and the frequency map fold in
+        names = ("backbone.pre.bn_in.state.gamma", "backbone.pre.bn_in.state.beta")
+        errors, n_sampled = check_model_gradients(seed=seed, plan=dict.fromkeys(names, 1))
+        assert n_sampled == 2
+        assert errors.keys() == set(names)
+        assert max(errors.values()) < TOLERANCE, errors
+
     def test_full_run_passes_within_budget(self):
         t0 = time.perf_counter()
         report = run_gradcheck(seed=0)

@@ -363,6 +363,26 @@ class TestBatchNormWideRowsBitwise:
             self.check(x, c, mode, act)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("act", [None, "relu"])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_many_row_blocks(self, dtype, act, mode):
+        # train mode runs its elementwise chains block by block of wide
+        # rows: these shapes span three or more blocks and end in a ragged
+        # one, on wide rows (w = 64) and on narrow ones (an odd row count
+        # gives w = 1), and with the concat's strided gradient slice
+        rng = np.random.default_rng(45)
+        for shape, concat_grad in (
+            ((5, 150, 64, 16), False),
+            ((3, 331, 51, 8), False),
+            ((5, 150, 64, 16), True),
+        ):
+            x = (2.0 * rng.normal(size=shape) + 0.3).astype(dtype)
+            wide = T._wide_rows(x)[1]
+            blocks = T._row_blocks(wide)
+            assert len(blocks) >= 3 and wide.shape[0] % (blocks[0].stop - blocks[0].start)
+            self.check(x, shape[-1], mode, act, concat_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", ["train", "infer"])
     def test_non_contiguous_input(self, dtype, mode):
         rng = np.random.default_rng(43)
