@@ -3,19 +3,20 @@
 Input is a batch of log-mel crops shaped (B, T, F, 1).  A normalization
 layer feeds two parallel streams: a 7x7 convolution (16 filters) and a
 frequency-wise dense map that treats the F bins as channels, so patterns at
-different frequency positions stop being interchangeable.  Both streams are
-linear in the input, so the normalization's scalar affine is folded into
-them (batch-norm folding): `bn_in` only standardizes the frames, and each
-map convolves gamma * xhat + beta through conv2d's `input_affine`.  The
-frames need no gradient, so neither map computes one; gamma and beta take
-theirs from the maps' weight-gradient products.  Inference, which records
-no tape, applies the affine to the frames, bit for bit as the unfolded
-layer did.  `bn_in` keeps its state and names, so checkpoints are laid out
-as before.  Their
+different frequency positions stop being interchangeable.  The two streams'
 concatenation passes through a 1x1 convolution into a four-stage residual
 trunk (3x3 basic blocks, projection shortcuts on downsampling).  The head
 averages out frequency (f_raw), maps frames to num_f (f_id), averages out
 time (embedding), and classifies speakers (logits).
+
+Both streams are linear in the input, so the normalization's scalar affine
+is folded into them (batch-norm folding): `bn_in` only standardizes the
+frames, and each map convolves gamma * xhat + beta through conv2d's
+`input_affine`.  The frames need no gradient, so neither map computes one;
+gamma and beta take theirs from the maps' weight-gradient products.
+Inference, which records no tape, applies the affine to the frames, bit for
+bit as an unfolded layer would.  `bn_in` is a one-channel BatchNorm, so a
+checkpoint stores its gamma, beta and running statistics like any other's.
 
 Time shrinks by 32x and frequency by 16x through the stack; extents follow
 floor((n + 2*pad - k)/stride) + 1 throughout, so e.g. T=300 lands on 10

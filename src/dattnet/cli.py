@@ -100,24 +100,14 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    from .errors import FormatError, InputError, NumericError
     from .evaluation import parse_trial_list, run_eval
     from .model import load_checkpoint
 
-    try:
-        model, norm_stats, _ = load_checkpoint(args.checkpoint)
-    except (OSError, FormatError) as e:
-        return _fail(e)
+    model, norm_stats, _ = load_checkpoint(args.checkpoint)
     if norm_stats is None:
         return _fail(f"{args.checkpoint}: checkpoint has no calibration stats")
-    try:
-        trials = parse_trial_list(args.trials)
-    except (OSError, FormatError) as e:
-        return _fail(e)
-    try:
-        report = run_eval(trials, model, norm_stats, csv_path=args.out)
-    except (InputError, NumericError) as e:
-        return _fail(e)
+    trials = parse_trial_list(args.trials)
+    report = run_eval(trials, model, norm_stats, csv_path=args.out)
     print(f"scored {report['n_scored']} trials, {report['n_errors']} errors")
     for idx, msg in report["errors"]:
         print(f"  trial {idx}: {msg}", file=sys.stderr)
@@ -192,7 +182,6 @@ def cmd_synth(args):
 
 
 def cmd_fbank(args):
-    from .errors import FormatError, InputError
     from .features import atomic_write, compute_fbank, read_wav, write_fbank
 
     if args.out is not None and len(args.wav) > 1:
@@ -204,11 +193,7 @@ def cmd_fbank(args):
             dst = os.path.join(args.out, os.path.splitext(os.path.basename(wav))[0] + ".fbnk")
         else:
             dst = args.out
-        try:
-            audio = read_wav(wav)
-            feats = compute_fbank(audio)
-        except (OSError, FormatError, InputError) as e:
-            return _fail(e)
+        feats = compute_fbank(read_wav(wav))
         atomic_write(dst, lambda tmp, feats=feats: write_fbank(tmp, feats))
         print(f"{wav} -> {dst} ({feats.n_frames} frames)")
     return 0
@@ -260,8 +245,8 @@ def main(argv=None):
 
     try:
         return args.func(args)
-    except (ConfigError, FormatError, InputError, NumericError) as e:
-        # anything a command didn't translate itself still exits cleanly
+    except (OSError, ConfigError, FormatError, InputError, NumericError) as e:
+        # one exit for every failure a command does not translate itself
         return _fail(e)
 
 

@@ -79,10 +79,8 @@ def mel_filterbank():
     return weights
 
 
-def compute_fbank(audio, sample_rate=SAMPLE_RATE):
-    """Log-mel energies of a mono waveform."""
-    if sample_rate != SAMPLE_RATE:
-        raise FormatError(f"sample rate must be {SAMPLE_RATE} Hz, got {sample_rate}")
+def compute_fbank(audio):
+    """Log-mel energies of a mono waveform sampled at SAMPLE_RATE."""
     x = np.asarray(audio, dtype=np.float64).reshape(-1)
     if x.size < FRAME_LEN:
         raise InputError(f"need at least {FRAME_LEN} samples (one frame), got {x.size}")
@@ -131,20 +129,9 @@ def pad_or_crop(f, target_t, mode, rng=None):
 
 
 @dataclass
-class Modulation:
-    """Per-utterance sinusoidal envelope parameters (used by oracles)."""
-
-    rate: float   # cycles per frame
-    phase: float
-    amp: float
-    env_mean: float  # exact time-mean of the envelope
-
-
-@dataclass
 class SyntheticCorpus:
     templates: np.ndarray                       # num_speakers x F
-    utterances: list = field(default_factory=list)   # [speaker][utt] -> FBankMatrix
-    modulations: list = field(default_factory=list)  # [speaker][utt] -> Modulation
+    utterances: list = field(default_factory=list)  # [speaker][utt] -> FBankMatrix
     seed: int = 0
     noise_sigma: float = 0.5
 
@@ -155,6 +142,9 @@ class SyntheticCorpus:
     @property
     def mel_bins(self):
         return self.templates.shape[1]
+
+
+MOD_AMP = 0.2  # depth of each utterance's amplitude envelope
 
 
 def _stream(*key):
@@ -175,12 +165,11 @@ def generate_synthetic_corpus(
     mel_bins=N_MELS,
     min_dur_s=2.0,
     max_dur_s=8.0,
-    mod_amp=0.2,
 ):
     """Desk-scale stand-in for a real training set.
 
     Each speaker s has a template mu_s ~ N(0, 1)^F.  Utterance frames are
-    mu_s * (1 + amp * sin(2*pi*rate*t + phase)) + N(0, sigma^2), with rate
+    mu_s * (1 + MOD_AMP * sin(2*pi*rate*t + phase)) + N(0, sigma^2), with rate
     in [0.01, 0.04] cycles/frame and duration uniform in [min, max] seconds.
     The multiplicative envelope keeps noise-free mean frames exactly
     parallel to the template.
@@ -190,25 +179,23 @@ def generate_synthetic_corpus(
     if utts_per_speaker < 2:
         raise ConfigError(f"need at least 2 utterances per speaker, got {utts_per_speaker}")
     templates = np.empty((num_speakers, mel_bins), dtype=np.float64)
-    utterances, modulations = [], []
+    utterances = []
     for s in range(num_speakers):
         templates[s] = _stream(seed, 0, s).normal(size=mel_bins)
-        speaker_utts, speaker_mods = [], []
+        speaker_utts = []
         for u in range(utts_per_speaker):
             rng = _stream(seed, 1, s, u)
             dur = rng.uniform(min_dur_s, max_dur_s)
             t = _duration_to_frames(dur)
             rate = rng.uniform(0.01, 0.04)
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            env = 1.0 + mod_amp * np.sin(2.0 * np.pi * rate * np.arange(t) + phase)
+            env = 1.0 + MOD_AMP * np.sin(2.0 * np.pi * rate * np.arange(t) + phase)
             frames = templates[s][None, :] * env[:, None]
             if noise_sigma > 0:
                 frames = frames + noise_sigma * rng.normal(size=(t, mel_bins))
             speaker_utts.append(FBankMatrix(frames))
-            speaker_mods.append(Modulation(rate, phase, mod_amp, float(env.mean())))
         utterances.append(speaker_utts)
-        modulations.append(speaker_mods)
-    return SyntheticCorpus(templates, utterances, modulations, seed, noise_sigma)
+    return SyntheticCorpus(templates, utterances, seed, noise_sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -173,11 +173,6 @@ def _unit_softmax(rng):
     return worst
 
 
-def _attention_leaves(params, which):
-    fc1, bn, fc2 = params.stack(which)
-    return [fc1.weight, fc1.bias, bn.state.gamma, bn.state.beta, fc2.weight, fc2.bias]
-
-
 def _attention_zeros(params, which, f_raw):
     """Masks of the stack's entries whose gradient is zero by structure.
 
@@ -215,7 +210,7 @@ def _unit_attention_self(rng):
         w, f_self = self_attention(att, f_id)
         return T.add(_projected(w, proj_w), _projected(f_self, proj_f))
 
-    leaves = [f_raw, f_id] + _attention_leaves(params, "self")
+    leaves = [f_raw, f_id] + [p for m in params.stack("self") for p in m.params()]
     zeros = _attention_zeros(params, "self", f_raw)
     return _check_graph(build, leaves, rng, n_entries=4, zeros=zeros)
 
@@ -231,7 +226,7 @@ def _unit_attention_mutual(rng):
         att = compute_f_att(f_raw, params, "mutual", "train")
         return _projected(mutual_attention_grid(att, f_id, f_self_other), proj)
 
-    leaves = [f_raw, f_id, f_self_other] + _attention_leaves(params, "mutual")
+    leaves = [f_raw, f_id, f_self_other] + [p for m in params.stack("mutual") for p in m.params()]
     zeros = _attention_zeros(params, "mutual", f_raw)
     return _check_graph(build, leaves, rng, n_entries=4, zeros=zeros)
 
@@ -245,8 +240,7 @@ def _unit_sigmoid_head(rng):
         mask_rng = np.random.default_rng(1234)
         return _projected(binary_head_scores(x, head, "train", mask_rng), proj)
 
-    leaves = [x, head.bn.state.gamma, head.bn.state.beta, head.fc.weight, head.fc.bias]
-    return _check_graph(build, leaves, rng)
+    return _check_graph(build, [x, *head.params()], rng)
 
 
 UNIT_CHECKS = [
@@ -389,7 +383,6 @@ class GradcheckReport:
     unit_errors: dict
     model_errors: dict = field(default_factory=dict)
     n_sampled: int = 0
-    tol: float = TOLERANCE
     runtime_s: float = 0.0
 
     @property
@@ -402,32 +395,32 @@ class GradcheckReport:
 
     @property
     def passed(self):
-        return self.max_unit_error < self.tol and self.max_model_error < self.tol
+        return self.max_unit_error < TOLERANCE and self.max_model_error < TOLERANCE
 
     def failed_types(self):
-        bad = [k for k, v in self.unit_errors.items() if v >= self.tol]
-        bad += [f"model:{k}" for k, v in self.model_errors.items() if v >= self.tol]
+        bad = [k for k, v in self.unit_errors.items() if v >= TOLERANCE]
+        bad += [f"model:{k}" for k, v in self.model_errors.items() if v >= TOLERANCE]
         return bad
 
     def lines(self):
         out = []
         for name, _ in UNIT_CHECKS:
             err = self.unit_errors[name]
-            mark = "ok" if err < self.tol else "FAIL"
+            mark = "ok" if err < TOLERANCE else "FAIL"
             out.append(f"unit  {name:18s} max rel err {err:.3e}  {mark}")
         for group in sorted(self.model_errors):
             err = self.model_errors[group]
-            mark = "ok" if err < self.tol else "FAIL"
+            mark = "ok" if err < TOLERANCE else "FAIL"
             out.append(f"model {group:18s} max rel err {err:.3e}  {mark}")
         out.append(
             f"{'PASS' if self.passed else 'FAIL'}: {len(self.unit_errors)} op types, "
-            f"{self.n_sampled} sampled model parameters, tol {self.tol:g}, "
+            f"{self.n_sampled} sampled model parameters, tol {TOLERANCE:g}, "
             f"{self.runtime_s:.1f}s"
         )
         return out
 
 
-def run_gradcheck(seed=0, tol=TOLERANCE, units_only=False):
+def run_gradcheck(seed=0, units_only=False):
     """Run every per-op check plus the whole-model sample; returns a report."""
     t0 = time.perf_counter()
     unit_errors = {}
@@ -435,6 +428,4 @@ def run_gradcheck(seed=0, tol=TOLERANCE, units_only=False):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 20, i)))
         unit_errors[name] = fn(rng)
     model_errors, n_sampled = ({}, 0) if units_only else check_model_gradients(seed)
-    return GradcheckReport(
-        unit_errors, model_errors, n_sampled, tol, time.perf_counter() - t0
-    )
+    return GradcheckReport(unit_errors, model_errors, n_sampled, time.perf_counter() - t0)

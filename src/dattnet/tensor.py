@@ -51,18 +51,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self):
         return float(self.data.reshape(()))
 
@@ -322,9 +310,9 @@ def _inside_taps(n, k, stride, pad, out, dtype):
 def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
     """2-d cross-correlation over (time, freq) with channels-last layout.
 
-    x: (T, F, Cin) or (B, T, F, Cin); w: (kh, kw, Cin, Cout).  No bias: every
-    conv in the model feeds a batch norm, whose shift plays that role.
-    Padding is zero-padding on both spatial axes.
+    x: (B, T, F, Cin); w: (kh, kw, Cin, Cout).  No bias: every conv in the
+    model feeds a batch norm, whose shift plays that role.  Padding is
+    zero-padding on both spatial axes.
 
     `input_affine=(gamma, beta)`, one-element tensors, convolves the
     zero-padded gamma * x + beta.  Under a tape it is folded in, as
@@ -336,11 +324,8 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
     gamma * x + beta: one pass over the input, not the output.
     """
     xv = x.data
-    batched = xv.ndim == 4
-    if xv.ndim == 3:
-        xv = xv[None]
-    elif xv.ndim != 4:
-        raise ShapeError(f"conv2d input must be 3-d or 4-d, got {x.data.shape}")
+    if xv.ndim != 4:
+        raise ShapeError(f"conv2d input must be 4-d, got {xv.shape}")
     wv = w.data
     if wv.ndim != 4:
         raise ShapeError(f"conv2d weight must be 4-d, got {wv.shape}")
@@ -389,23 +374,18 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
         # in place, with no temporary the size of the output
         yv += shift * taps.sum(axis=0)
         yv[:, edge] += shift * np.tensordot(gap, taps, 1)
-    if not batched:
-        yv = yv[0]
     out = Tensor(yv)
 
     def bwd(g):
-        gb = g if batched else g[None]
-        gw, gx = _conv2d_grads(xp, weff, gb, sh, sw, oh, ow, patches, x.requires_grad)
+        gw, gx = _conv2d_grads(xp, weff, g, sh, sw, oh, ow, patches, x.requires_grad)
         if gx is not None:
             if ph or pw:
                 gx = gx[:, ph : ph + th, pw : pw + tf, :]
-            if not batched:
-                gx = gx[0]
             _accum(x, gx)
         if input_affine is not None:
             # P_1^T g: the batch-summed gradient, summed over the taps the
             # way conv(1; w) sums w
-            per_row = gb.sum(axis=(0, 1)) + np.tensordot(gap.T, gb[:, edge].sum(axis=0), 1)
+            per_row = g.sum(axis=(0, 1)) + np.tensordot(gap.T, g[:, edge].sum(axis=0), 1)
             g1 = cols.T @ per_row  # (kh, kw, cout)
             _accum(gamma, np.vdot(wv, gw).reshape(gamma.data.shape))
             _accum(beta, np.vdot(wsum, g1).reshape(beta.data.shape))
@@ -419,26 +399,23 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
 # pooling
 
 
-def pool2d(x, kernel, stride=None, pad=(0, 0)):
-    """Max pooling per channel over (time, freq) windows.
+def pool2d(x, kernel, stride, pad=(0, 0)):
+    """Max pooling per channel over (time, freq) windows of (B, T, F, C) input.
 
-    `stride` defaults to the kernel.  Padding uses a -inf sentinel, so a
-    padded cell never wins.  Backward routes each output's gradient to the
-    first (row-major) maximum of its window; the map of those maxima is
-    built only when a tape records the call, since nothing else reads it.
-    The backward is one scatter-add over the outputs in reverse raster
-    order.  For a fixed input, a later tap in row-major order belongs to an
-    earlier output in raster order, so the reversed scatter sums an input's
-    terms in tap order: the bits of one masked add per tap, taps in order.
+    Padding uses a -inf sentinel, so a padded cell never wins.  Backward
+    routes each output's gradient to the first (row-major) maximum of its
+    window; the map of those maxima is built only when a tape records the
+    call, since nothing else reads it.  The backward is one scatter-add
+    over the outputs in reverse raster order.  For a fixed input, a later
+    tap in row-major order belongs to an earlier output in raster order, so
+    the reversed scatter sums an input's terms in tap order: the bits of one
+    masked add per tap, taps in order.
     """
     xv = x.data
-    batched = xv.ndim == 4
-    if xv.ndim == 3:
-        xv = xv[None]
-    elif xv.ndim != 4:
-        raise ShapeError(f"pool2d input must be 3-d or 4-d, got {x.data.shape}")
+    if xv.ndim != 4:
+        raise ShapeError(f"pool2d input must be 4-d, got {xv.shape}")
     kh, kw = kernel
-    sh, sw = stride if stride is not None else kernel
+    sh, sw = stride
     ph, pw = pad
     th, tf = xv.shape[1], xv.shape[2]
     oh = conv_out_extent(th, kh, sh, ph)
@@ -446,7 +423,7 @@ def pool2d(x, kernel, stride=None, pad=(0, 0)):
     if oh < 1 or ow < 1:
         raise ShapeError(
             f"pool2d output extent non-positive: input {th}x{tf}, kernel {kernel}, "
-            f"stride {(sh, sw)}, pad {pad} -> {oh}x{ow}"
+            f"stride {stride}, pad {pad} -> {oh}x{ow}"
         )
     if ph or pw:
         xp = np.pad(xv, ((0, 0), (ph, ph), (pw, pw), (0, 0)), constant_values=-np.inf)
@@ -469,12 +446,9 @@ def pool2d(x, kernel, stride=None, pad=(0, 0)):
         if am is not None:
             np.maximum(am, np.multiply(t > yv, k, dtype=am.dtype), out=am)
         np.maximum(yv, t, out=yv)
-    if not batched:
-        yv = yv[0]
     out = Tensor(yv)
 
     def bwd(g):
-        g = g if batched else g[None]
         gx = np.zeros(xp.shape, dtype=xp.dtype)  # C order: reshape(-1) is a view
         # flat index in gx of each output's argmax: the offset of tap am
         # within its window, plus the window's origin
@@ -489,7 +463,7 @@ def pool2d(x, kernel, stride=None, pad=(0, 0)):
         np.add.at(gx.reshape(-1), src.reshape(-1)[::-1], g.reshape(-1)[::-1])
         if ph or pw:
             gx = gx[:, ph : ph + th, pw : pw + tf, :]
-        _accum(x, gx if batched else gx[0])
+        _accum(x, gx)
 
     return _record((x,), out, bwd)
 
@@ -746,18 +720,13 @@ def _norm_axes(axis, ndim):
     return tuple(a % ndim for a in axis)
 
 
-def _expand_reduced(g, shape, axes):
-    out_shape = tuple(1 if i in axes else s for i, s in enumerate(shape))
-    return g.reshape(out_shape)
-
-
 def sum_over(x, axis=None, keepdims=False):
     axes = _norm_axes(axis, x.data.ndim)
     out = Tensor(x.data.sum(axis=axes, keepdims=keepdims))
 
     def bwd(g):
         if not keepdims:
-            g = _expand_reduced(g, x.data.shape, axes)
+            g = np.expand_dims(g, axes)
         _accum(x, np.broadcast_to(g, x.data.shape))
 
     return _record((x,), out, bwd)
@@ -770,7 +739,7 @@ def mean_over(x, axis=None, keepdims=False):
 
     def bwd(g):
         if not keepdims:
-            g = _expand_reduced(g, x.data.shape, axes)
+            g = np.expand_dims(g, axes)
         _accum(x, np.broadcast_to(g / n, x.data.shape))
 
     return _record((x,), out, bwd)

@@ -38,7 +38,7 @@ def embed_utterance_per_segment(model, fbank):
     )
 
 
-def pool2d_masked(x, kernel, stride=None, pad=(0, 0)):
+def pool2d_masked(x, kernel, stride, pad=(0, 0)):
     """`tensor.pool2d` with the backward as one masked add per kernel tap.
 
     Tap k adds `g * (argmax == k)` into its strided view of the input
@@ -46,11 +46,8 @@ def pool2d_masked(x, kernel, stride=None, pad=(0, 0)):
     contributions in tap order.  The forward is `tensor.pool2d`'s.
     """
     xv = x.data
-    batched = xv.ndim == 4
-    if not batched:
-        xv = xv[None]
     kh, kw = kernel
-    sh, sw = stride if stride is not None else kernel
+    sh, sw = stride
     ph, pw = pad
     th, tf = xv.shape[1], xv.shape[2]
     oh = T.conv_out_extent(th, kh, sh, ph)
@@ -66,16 +63,15 @@ def pool2d_masked(x, kernel, stride=None, pad=(0, 0)):
         t = tap(xp, *divmod(k, kw))
         np.maximum(am, np.multiply(t > yv, k, dtype=am.dtype), out=am)
         np.maximum(yv, t, out=yv)
-    out = T.Tensor(yv if batched else yv[0])
+    out = T.Tensor(yv)
 
     def bwd(g):
-        g = g if batched else g[None]
         gx = np.zeros_like(xp)
         for k in range(kh * kw):
             dst = tap(gx, *divmod(k, kw))
             dst += g * (am == k)
         gx = gx[:, ph : ph + th, pw : pw + tf, :]
-        T._accum(x, gx if batched else gx[0])
+        T._accum(x, gx)
 
     return T._record((x,), out, bwd)
 

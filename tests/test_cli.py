@@ -82,6 +82,16 @@ class TestTrain:
         assert key in err[0]
         assert not ckpt.exists()
 
+    def test_checkpoint_in_missing_dir_is_one_error_line(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        ckpt = tmp_path / "missing" / "x.ckpt"
+        rc = main(["train", "--config", cfg_path, "--checkpoint", str(ckpt),
+                   "--out", str(tmp_path / "log.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_integers_fit_number_fields(self):
         cfg = config_from_dict(dict(TINY, **{"lambda": 2, "s": 30, "dropout_rate": 0}))
         assert (cfg.lambda_, cfg.s, cfg.dropout_rate) == (2, 30, 0)
@@ -181,6 +191,15 @@ class TestSynth:
         assert labels == {0, 1}
         f = read_fbank(str(corpus_dir / fbnk[0]))
         assert f.mel_bins == TINY["mel_bins"]
+
+    def test_out_is_a_file_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        out.write_text("")
+        rc = main(["synth", "--config", write_config(tmp_path), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data"]
 
     def test_trial_paths_resolve(self, corpus_dir):
         trials = parse_trial_list(str(corpus_dir / "trials.txt"))
@@ -320,6 +339,17 @@ class TestEval:
         assert rc != 0
         assert not out_csv.exists()
         assert "nope.ckpt" in capsys.readouterr().err
+
+    def test_csv_in_missing_dir_is_one_error_line(self, trained, corpus_dir, tmp_path, capsys):
+        out_csv = tmp_path / "missing" / "scores.csv"
+        rc = main(
+            ["eval", "--checkpoint", trained, "--trials", str(corpus_dir / "trials.txt"),
+             "--out", str(out_csv)]
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_trial_line_names_line_number(self, trained, tmp_path, capsys):
         bad = tmp_path / "trials.txt"

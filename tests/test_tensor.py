@@ -42,22 +42,25 @@ def check_grads(build, arrays, rtol=1e-4, atol=1e-7):
 
 
 def naive_conv2d(x, w, stride, pad):
-    """Six-nested-loop cross-correlation reference, (kh, kw, cin) order."""
-    th, tf, cin = x.shape
+    """Six-nested-loop cross-correlation reference, (kh, kw, cin) order;
+    each step is elementwise over the batch axis."""
+    b, th, tf, cin = x.shape
     kh, kw, _, cout = w.shape
     sh, sw = stride
     ph, pw = pad
-    xp = np.pad(x, ((ph, ph), (pw, pw), (0, 0)))
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
     oh = (th + 2 * ph - kh) // sh + 1
     ow = (tf + 2 * pw - kw) // sw + 1
-    y = np.zeros((oh, ow, cout), dtype=x.dtype)
+    y = np.zeros((b, oh, ow, cout), dtype=x.dtype)
     for ih in range(kh):
         for iw in range(kw):
             for ic in range(cin):
                 for oy in range(oh):
                     for ox in range(ow):
                         for oc in range(cout):
-                            y[oy, ox, oc] += xp[oy * sh + ih, ox * sw + iw, ic] * w[ih, iw, ic, oc]
+                            y[:, oy, ox, oc] += (
+                                xp[:, oy * sh + ih, ox * sw + iw, ic] * w[ih, iw, ic, oc]
+                            )
     return y
 
 
@@ -128,11 +131,11 @@ class TestConv2d:
     def test_exact_match_float64(self):
         rng = np.random.default_rng(6)
         cases = [
-            ((9, 8, 2), (3, 3, 2, 4), (1, 1), (1, 1)),
-            ((10, 7, 3), (3, 3, 3, 2), (2, 2), (1, 1)),
-            ((8, 8, 1), (7, 7, 1, 5), (2, 2), (3, 3)),
-            ((12, 6, 2), (3, 1, 2, 3), (2, 1), (1, 0)),
-            ((6, 6, 4), (1, 1, 4, 8), (1, 1), (0, 0)),
+            ((2, 9, 8, 2), (3, 3, 2, 4), (1, 1), (1, 1)),
+            ((2, 10, 7, 3), (3, 3, 3, 2), (2, 2), (1, 1)),
+            ((2, 8, 8, 1), (7, 7, 1, 5), (2, 2), (3, 3)),
+            ((2, 12, 6, 2), (3, 1, 2, 3), (2, 1), (1, 0)),
+            ((2, 6, 6, 4), (1, 1, 4, 8), (1, 1), (0, 0)),
         ]
         for xs, ws, stride, pad in cases:
             x = rng.normal(size=xs)
@@ -143,7 +146,7 @@ class TestConv2d:
 
     def test_fast_path_float32_close(self):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(9, 8, 2)).astype(np.float32)
+        x = rng.normal(size=(1, 9, 8, 2)).astype(np.float32)
         w = rng.normal(size=(3, 3, 2, 4)).astype(np.float32)
         got = T.conv2d(T.Tensor(x), T.Tensor(w), (1, 1), (1, 1)).data
         want = naive_conv2d(x.astype(np.float64), w.astype(np.float64), (1, 1), (1, 1))
@@ -156,7 +159,7 @@ class TestConv2d:
 
     def test_grads(self):
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(6, 5, 2))
+        x = rng.normal(size=(1, 6, 5, 2))
         w = rng.normal(size=(3, 3, 2, 3))
         check_grads(
             lambda xx, ww: T.sum_over(T.mul(T.conv2d(xx, ww, (2, 1), (1, 1)),
@@ -172,38 +175,46 @@ class TestConv2d:
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            T.conv2d(T.Tensor(np.zeros((5, 5, 2))), T.Tensor(np.zeros((3, 3, 3, 4))))
+            T.conv2d(T.Tensor(np.zeros((1, 5, 5, 2))), T.Tensor(np.zeros((3, 3, 3, 4))))
 
     def test_too_small_input(self):
         with pytest.raises(ShapeError):
-            T.conv2d(T.Tensor(np.zeros((2, 2, 1))), T.Tensor(np.zeros((5, 5, 1, 1))))
+            T.conv2d(T.Tensor(np.zeros((1, 2, 2, 1))), T.Tensor(np.zeros((5, 5, 1, 1))))
+
+    def test_unbatched_input_raises(self):
+        with pytest.raises(ShapeError, match="4-d"):
+            T.conv2d(T.Tensor(np.zeros((5, 5, 2))), T.Tensor(np.zeros((3, 3, 2, 4))))
 
 
 class TestPool2d:
     def test_max_forward(self):
-        x = np.arange(16, dtype=np.float64).reshape(4, 4, 1)
+        x = np.arange(16, dtype=np.float64).reshape(1, 4, 4, 1)
         y = T.pool2d(T.Tensor(x), (2, 2), (2, 2)).data
-        np.testing.assert_array_equal(y[..., 0], [[5, 7], [13, 15]])
+        np.testing.assert_array_equal(y[0, ..., 0], [[5, 7], [13, 15]])
 
     def test_max_pad_sentinel(self):
-        x = -np.ones((2, 2, 1))
+        x = -np.ones((1, 2, 2, 1))
         y = T.pool2d(T.Tensor(x), (3, 3), (2, 2), (1, 1)).data
-        np.testing.assert_allclose(y[..., 0], -np.ones((1, 1)))
+        np.testing.assert_allclose(y[0, ..., 0], -np.ones((1, 1)))
 
     def test_max_grads(self):
         rng = np.random.default_rng(10)
-        x = rng.normal(size=(7, 6, 2))
+        x = rng.normal(size=(1, 7, 6, 2))
         check_grads(lambda xx: T.sum_over(T.mul(T.pool2d(xx, (3, 3), (2, 2), (1, 1)),
                                                 T.pool2d(xx, (3, 3), (2, 2), (1, 1)))), [x])
 
     def test_max_tie_first_wins(self):
-        x = T.parameter(np.zeros((2, 2, 1)))
+        x = T.parameter(np.zeros((1, 2, 2, 1)))
         with T.GraphTape() as tape:
-            loss = T.sum_over(T.pool2d(x, (2, 2)))
+            loss = T.sum_over(T.pool2d(x, (2, 2), (2, 2)))
         T.backward(loss, tape)
-        want = np.zeros((2, 2, 1))
-        want[0, 0, 0] = 1.0
+        want = np.zeros((1, 2, 2, 1))
+        want[0, 0, 0, 0] = 1.0
         np.testing.assert_array_equal(x.grad, want)
+
+    def test_unbatched_input_raises(self):
+        with pytest.raises(ShapeError, match="4-d"):
+            T.pool2d(T.Tensor(np.zeros((4, 4, 1))), (2, 2), (2, 2))
 
     def test_values_do_not_depend_on_recording(self):
         # only a recorded call builds the argmax map; the pooled values must
@@ -292,8 +303,8 @@ class TestPool2dScatterBitwise:
             ((2, 30, 16, 3), ((3, 3), (2, 2), (1, 1))),
             ((2, 30, 16, 3), ((3, 1), (2, 1), (1, 0))),
             ((2, 30, 16, 3), ((2, 2), (2, 2), (0, 0))),
-            ((2, 30, 16, 3), ((2, 2),)),
-            ((31, 17, 5), ((3, 3), (2, 2), (1, 1))),  # 3-d, odd extents
+            ((2, 30, 16, 3), ((2, 2), (1, 1))),  # overlapping windows
+            ((1, 31, 17, 5), ((3, 3), (2, 2), (1, 1))),  # odd extents
         ],
     )
     def test_matches_masked_taps(self, dtype, shape, args):
@@ -730,16 +741,16 @@ class TestHandExamples:
         np.testing.assert_array_equal(out.data, [[11.0]])
 
     def test_conv_scalar_scale(self):
-        x = np.random.default_rng(33).normal(size=(4, 4, 1))
+        x = np.random.default_rng(33).normal(size=(1, 4, 4, 1))
         w = np.full((1, 1, 1, 1), 2.0)
         out = T.conv2d(T.Tensor(x), T.Tensor(w)).data
         np.testing.assert_array_equal(out, 2.0 * x)
 
     def test_conv_tap_count(self):
-        x = np.ones((3, 3, 1))
+        x = np.ones((1, 3, 3, 1))
         w = np.ones((3, 3, 1, 1))
         out = T.conv2d(T.Tensor(x), T.Tensor(w), (1, 1), (1, 1)).data
-        assert out[1, 1, 0] == 9.0
+        assert out[0, 1, 1, 0] == 9.0
 
     def test_bn_infer_identity(self):
         st = T.BNState(3, dtype=np.float64)
