@@ -57,17 +57,22 @@ def _load_config(args):
     return cfg
 
 
+def _check_writable(*paths):
+    """Raise OSError before any work if an output's directory takes no new file."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(os.path.abspath(path))
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+            raise OSError(f"{path}: cannot create a file in {folder}")
+
+
 def _write_log_csv(path, log):
     from .features import atomic_write
 
-    def emit(tmp):
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(LOG_COLUMNS)
-            for row in log:
-                writer.writerow([row[c] for c in LOG_COLUMNS])
-
-    atomic_write(path, emit)
+    with atomic_write(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LOG_COLUMNS)
+        for row in log:
+            writer.writerow([row[c] for c in LOG_COLUMNS])
 
 
 def _format_row(row):
@@ -88,6 +93,7 @@ def cmd_train(args):
     except (OSError, ConfigError) as e:
         return _fail(e, EXIT_USAGE)
 
+    _check_writable(args.checkpoint, args.out)
     model, norm_stats, log = train_model(
         cfg, log_fn=lambda row: print(_format_row(row))
     )
@@ -103,6 +109,7 @@ def cmd_eval(args):
     from .evaluation import parse_trial_list, run_eval
     from .model import load_checkpoint
 
+    _check_writable(args.out)
     model, norm_stats, _ = load_checkpoint(args.checkpoint)
     if norm_stats is None:
         return _fail(f"{args.checkpoint}: checkpoint has no calibration stats")
@@ -164,25 +171,19 @@ def cmd_synth(args):
     n_files = 0
     for s in range(corpus.num_speakers):
         for u, utt in enumerate(corpus.utterances[s]):
-            path = os.path.join(args.out, _utterance_name(s, u))
-            atomic_write(path, lambda tmp, utt=utt: write_fbank(tmp, utt))
+            write_fbank(os.path.join(args.out, _utterance_name(s, u)), utt)
             n_files += 1
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 3)))
     trials = _synth_trials(corpus, rng, SYNTH_TRIALS)
-    trial_path = os.path.join(args.out, "trials.txt")
-
-    def emit(tmp):
-        with open(tmp, "w") as fh:
-            for label, p1, p2 in trials:
-                fh.write(f"{label} {os.path.join(args.out, p1)} {os.path.join(args.out, p2)}\n")
-
-    atomic_write(trial_path, emit)
+    with atomic_write(os.path.join(args.out, "trials.txt"), "w") as fh:
+        for label, p1, p2 in trials:
+            fh.write(f"{label} {os.path.join(args.out, p1)} {os.path.join(args.out, p2)}\n")
     print(f"wrote {n_files} feature files and {len(trials)} trials under {args.out}")
     return 0
 
 
 def cmd_fbank(args):
-    from .features import atomic_write, compute_fbank, read_wav, write_fbank
+    from .features import compute_fbank, read_wav, write_fbank
 
     if args.out is not None and len(args.wav) > 1:
         os.makedirs(args.out, exist_ok=True)
@@ -194,7 +195,7 @@ def cmd_fbank(args):
         else:
             dst = args.out
         feats = compute_fbank(read_wav(wav))
-        atomic_write(dst, lambda tmp, feats=feats: write_fbank(tmp, feats))
+        write_fbank(dst, feats)
         print(f"{wav} -> {dst} ({feats.n_frames} frames)")
     return 0
 

@@ -124,23 +124,19 @@ def parse_trial_list(path):
 
 def write_score_csv(path, rows):
     """Atomic CSV emission, rows ordered by trial index."""
-
-    def emit(tmp):
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial_idx", "label", "score_cos", "score_binary", "score_all"])
-            for idx, ts in sorted(rows):
-                writer.writerow(
-                    [
-                        idx,
-                        ts.label,
-                        repr(float(ts.score_cos)),
-                        repr(float(ts.score_binary)),
-                        repr(float(ts.score_all)),
-                    ]
-                )
-
-    atomic_write(path, emit)
+    with atomic_write(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trial_idx", "label", "score_cos", "score_binary", "score_all"])
+        for idx, ts in sorted(rows):
+            writer.writerow(
+                [
+                    idx,
+                    ts.label,
+                    repr(float(ts.score_cos)),
+                    repr(float(ts.score_binary)),
+                    repr(float(ts.score_all)),
+                ]
+            )
 
 
 def run_eval(trials, model, ns, csv_path=None):

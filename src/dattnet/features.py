@@ -17,6 +17,7 @@ import os
 import struct
 import tempfile
 import wave
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,7 +133,6 @@ def pad_or_crop(f, target_t, mode, rng=None):
 class SyntheticCorpus:
     templates: np.ndarray                       # num_speakers x F
     utterances: list = field(default_factory=list)  # [speaker][utt] -> FBankMatrix
-    seed: int = 0
     noise_sigma: float = 0.5
 
     @property
@@ -195,27 +195,28 @@ def generate_synthetic_corpus(
                 frames = frames + noise_sigma * rng.normal(size=(t, mel_bins))
             speaker_utts.append(FBankMatrix(frames))
         utterances.append(speaker_utts)
-    return SyntheticCorpus(templates, utterances, seed, noise_sigma)
+    return SyntheticCorpus(templates, utterances, noise_sigma)
 
 
 # ---------------------------------------------------------------------------
 # external formats
 
 
-def atomic_write(path, write_fn):
-    """Call write_fn(tmp) on a fresh temp file beside path, then rename it to path.
+@contextmanager
+def atomic_write(path, mode, **open_kw):
+    """Yield a fresh temp file beside path, opened with mode and open_kw;
+    rename it to path when the block completes.
 
-    On any failure the temp file is removed and path is left as it was, so
-    readers never see a partial file.
+    If the block raises, the temp file is removed and path is left as it
+    was, so readers never see a partial file.
     """
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".", suffix=".tmp")
-    os.close(fd)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
-        write_fn(tmp)
+        with open(fd, mode, **open_kw) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -226,7 +227,7 @@ def write_fbank(path, f):
     """16-byte header (magic, u32 T, u32 F, u32 reserved) + row-major LE f32."""
     frames = np.ascontiguousarray(f.frames, dtype="<f4")
     t, fbins = frames.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(FBNK_MAGIC)
         fh.write(struct.pack("<III", t, fbins, 0))
         fh.write(frames.tobytes())

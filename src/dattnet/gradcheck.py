@@ -3,13 +3,16 @@
 Two stages, both in float64 with central differences (h=1e-5): isolated
 per-op checks, so a defect in one backward cannot hide behind another,
 and a whole-model check that perturbs a stratified sample of parameters
-under the full pair loss.
+under the full pair loss.  Adding a unit check takes an op and its
+leaves: _check_graph(op, leaves, rng) projects the op's outputs onto
+random arrays and compares every leaf's gradient with the differences.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial, reduce
 
 import numpy as np
 
@@ -51,16 +54,41 @@ def _rel_err(a, b, floor=1e-6):
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def _check_graph(build, leaves, rng, n_entries=6, h=FD_H, zeros=None):
+def _probes(leaf, idx, widths, loss):
+    """[(h, loss(x + h), loss(x - h)) for h in widths], x being entry idx of leaf."""
+    orig = leaf.data.flat[idx]
+    probes = []
+    for h in widths:
+        leaf.data.flat[idx] = orig + h
+        lp = float(loss().data)
+        leaf.data.flat[idx] = orig - h
+        probes.append((h, lp, float(loss().data)))
+    leaf.data.flat[idx] = orig
+    return probes
+
+
+def _check_graph(op, leaves, rng, n_entries=6, zeros=None):
     """Max relative error of reverse-mode grads vs central differences.
 
-    build() assembles the graph from the current leaf values and returns
-    the scalar loss; it is re-run untaped for each probe.  zeros maps a
-    leaf to a boolean mask of the entries whose gradient is zero by
+    op() runs the op under test on the current leaf values and returns a
+    tensor or a tuple of tensors.  The checked loss projects each output
+    onto a random array, drawn from rng in output order before any entry
+    is sampled, and sums; it is re-run untaped for each probe.  zeros maps
+    a leaf to a boolean mask of the entries whose gradient is zero by
     structure: a difference quotient there is pure roundoff, so those
     entries must be exactly zero (|analytic| <= ZERO_GRAD_ATOL, error 1
     otherwise) and are skipped among the sampled ones.
     """
+
+    def outputs():
+        ys = op()
+        return ys if isinstance(ys, tuple) else (ys,)
+
+    projs = [rng.normal(size=y.data.shape) for y in outputs()]
+
+    def build():
+        return reduce(T.add, [T.sum_over(T.mul(y, T.Tensor(p))) for y, p in zip(outputs(), projs)])
+
     zeros = zeros or {}
     with T.GraphTape() as tape:
         loss = build()
@@ -75,19 +103,9 @@ def _check_graph(build, leaves, rng, n_entries=6, h=FD_H, zeros=None):
         for idx in idxs:
             if zero.flat[idx]:
                 continue
-            orig = leaf.data.flat[idx]
-            leaf.data.flat[idx] = orig + h
-            lp = float(build().data)
-            leaf.data.flat[idx] = orig - h
-            lm = float(build().data)
-            leaf.data.flat[idx] = orig
-            fd = (lp - lm) / (2 * h)
-            worst = max(worst, _rel_err(float(leaf.grad.flat[idx]), fd))
+            ((h, lp, lm),) = _probes(leaf, idx, (FD_H,), build)
+            worst = max(worst, _rel_err(float(leaf.grad.flat[idx]), (lp - lm) / (2 * h)))
     return worst
-
-
-def _projected(y, proj):
-    return T.sum_over(T.mul(y, T.Tensor(proj)))
 
 
 def _unit_conv(rng):
@@ -105,25 +123,15 @@ def _unit_conv(rng):
         x = T.parameter(rng.normal(size=xshape))
         w = T.parameter(rng.normal(size=wshape) * 0.4)
         affine = tuple(T.parameter(rng.normal(size=1)) for _ in range(2)) if folded else None
-        probe = T.conv2d(x, w, stride, pad, affine)
-        proj = rng.normal(size=probe.data.shape)
-
-        def build(x=x, w=w, stride=stride, pad=pad, affine=affine, proj=proj):
-            return _projected(T.conv2d(x, w, stride, pad, affine), proj)
-
-        worst = max(worst, _check_graph(build, [x, w, *(affine or ())], rng))
+        op = partial(T.conv2d, x, w, stride, pad, affine)
+        worst = max(worst, _check_graph(op, [x, w, *(affine or ())], rng))
     return worst
 
 
 def _unit_fc(rng):
     fc = Dense(rng, 6, 4, dtype=np.float64)
     x = T.parameter(rng.normal(size=(7, 6)))
-    proj = rng.normal(size=(7, 4))
-
-    def build():
-        return _projected(fc(x), proj)
-
-    return _check_graph(build, [x, fc.weight, fc.bias], rng)
+    return _check_graph(partial(fc, x), [x, fc.weight, fc.bias], rng)
 
 
 def _unit_bn(rng):
@@ -133,13 +141,8 @@ def _unit_bn(rng):
         st.running_mean[:] = rng.normal(size=5) * 0.1
         st.running_var[:] = 1.0 + rng.random(5)
         x = T.parameter(rng.normal(size=shape))
-        proj = rng.normal(size=shape)
-
-        def build(x=x, st=st, mode=mode, proj=proj):
-            y = T.batch_norm(x, st, mode, act="relu")
-            return _projected(y, proj)
-
-        worst = max(worst, _check_graph(build, [x, st.gamma, st.beta], rng))
+        op = partial(T.batch_norm, x, st, mode, act="relu")
+        worst = max(worst, _check_graph(op, [x, st.gamma, st.beta], rng))
     return worst
 
 
@@ -151,25 +154,14 @@ def _spread_values(rng, shape, step=0.01):
 
 def _unit_pool(rng):
     x = T.parameter(_spread_values(rng, (2, 11, 8, 3)))
-    probe = T.pool2d(x, (3, 3), (2, 2), (1, 1))
-    proj = rng.normal(size=probe.data.shape)
-
-    def build():
-        return _projected(T.pool2d(x, (3, 3), (2, 2), (1, 1)), proj)
-
-    return _check_graph(build, [x], rng, n_entries=12)
+    return _check_graph(partial(T.pool2d, x, (3, 3), (2, 2), (1, 1)), [x], rng, n_entries=12)
 
 
 def _unit_softmax(rng):
     worst = 0.0
     for axis in (0, 1, -1):
         x = T.parameter(rng.normal(size=(4, 5, 3)) * 2.0)
-        proj = rng.normal(size=(4, 5, 3))
-
-        def build(x=x, axis=axis, proj=proj):
-            return _projected(T.softmax_over_axis(x, axis), proj)
-
-        worst = max(worst, _check_graph(build, [x], rng))
+        worst = max(worst, _check_graph(partial(T.softmax_over_axis, x, axis), [x], rng))
     return worst
 
 
@@ -198,49 +190,30 @@ def _attention_zeros(params, which, f_raw):
     }
 
 
-def _unit_attention_self(rng):
+def _unit_attention(which, rng):
     params = AttentionParams(rng, 6, 5, shared=False, dtype=np.float64)
-    f_raw = T.parameter(rng.normal(size=(2, 4, 6)))
-    f_id = T.parameter(rng.normal(size=(2, 4, 5)))
-    proj_w = rng.normal(size=(2, 4, 5))
-    proj_f = rng.normal(size=(2, 5))
+    t = 4 if which == "self" else 3
+    f_raw = T.parameter(rng.normal(size=(2, t, 6)))
+    f_id = T.parameter(rng.normal(size=(2, t, 5)))
+    partner = [T.parameter(rng.normal(size=(4, 5)))] if which == "mutual" else []
 
-    def build():
-        att = compute_f_att(f_raw, params, "self", "train")
-        w, f_self = self_attention(att, f_id)
-        return T.add(_projected(w, proj_w), _projected(f_self, proj_f))
+    def op():  # self: (W, f_self); mutual: the (2, 4, 5) pooled grid
+        att = compute_f_att(f_raw, params, which, "train")
+        return mutual_attention_grid(att, f_id, *partner) if partner else self_attention(att, f_id)
 
-    leaves = [f_raw, f_id] + [p for m in params.stack("self") for p in m.params()]
-    zeros = _attention_zeros(params, "self", f_raw)
-    return _check_graph(build, leaves, rng, n_entries=4, zeros=zeros)
-
-
-def _unit_attention_mutual(rng):
-    params = AttentionParams(rng, 6, 5, shared=False, dtype=np.float64)
-    f_raw = T.parameter(rng.normal(size=(2, 3, 6)))
-    f_id = T.parameter(rng.normal(size=(2, 3, 5)))
-    f_self_other = T.parameter(rng.normal(size=(4, 5)))
-    proj = rng.normal(size=(2, 4, 5))
-
-    def build():
-        att = compute_f_att(f_raw, params, "mutual", "train")
-        return _projected(mutual_attention_grid(att, f_id, f_self_other), proj)
-
-    leaves = [f_raw, f_id, f_self_other] + [p for m in params.stack("mutual") for p in m.params()]
-    zeros = _attention_zeros(params, "mutual", f_raw)
-    return _check_graph(build, leaves, rng, n_entries=4, zeros=zeros)
+    leaves = [f_raw, f_id, *partner] + [p for m in params.stack(which) for p in m.params()]
+    zeros = _attention_zeros(params, which, f_raw)
+    return _check_graph(op, leaves, rng, n_entries=4, zeros=zeros)
 
 
 def _unit_sigmoid_head(rng):
     head = BinaryHeadParams(rng, 5, dropout_rate=0.5, dtype=np.float64)
     x = T.parameter(rng.normal(size=(3, 3, 5)))
-    proj = rng.normal(size=(3, 3))
 
-    def build():
-        mask_rng = np.random.default_rng(1234)
-        return _projected(binary_head_scores(x, head, "train", mask_rng), proj)
+    def op():  # a fresh, fixed dropout stream per call
+        return binary_head_scores(x, head, "train", np.random.default_rng(1234))
 
-    return _check_graph(build, [x, *head.params()], rng)
+    return _check_graph(op, [x, *head.params()], rng)
 
 
 UNIT_CHECKS = [
@@ -249,8 +222,8 @@ UNIT_CHECKS = [
     ("bn", _unit_bn),
     ("pool_max", _unit_pool),
     ("softmax", _unit_softmax),
-    ("attention_self", _unit_attention_self),
-    ("attention_mutual", _unit_attention_mutual),
+    ("attention_self", partial(_unit_attention, "self")),
+    ("attention_mutual", partial(_unit_attention, "mutual")),
     ("sigmoid_head", _unit_sigmoid_head),
 ]
 
@@ -351,7 +324,6 @@ def check_model_gradients(seed=0, plan=None):
         groups[name] = [p]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 12)))
     errors = {}
-    n_sampled = 0
     for group, count in sorted(plan.items()):
         params = groups[group]
         seen = set()
@@ -363,19 +335,10 @@ def check_model_gradients(seed=0, plan=None):
                 if (pi, idx) not in seen:
                     seen.add((pi, idx))
                     break
-            leaf = params[pi]
-            orig = leaf.data.flat[idx]
-            probes = []
-            for h in MODEL_FD_H:
-                leaf.data.flat[idx] = orig + h
-                lp = float(loss_fn().data)
-                leaf.data.flat[idx] = orig - h
-                probes.append((h, lp, float(loss_fn().data)))
-            leaf.data.flat[idx] = orig
-            worst = max(worst, _model_entry_error(float(leaf.grad.flat[idx]), l0, probes))
-            n_sampled += 1
+            probes = _probes(params[pi], idx, MODEL_FD_H, loss_fn)
+            worst = max(worst, _model_entry_error(float(params[pi].grad.flat[idx]), l0, probes))
         errors[group] = worst
-    return errors, n_sampled
+    return errors, sum(plan.values())
 
 
 @dataclass
@@ -403,15 +366,12 @@ class GradcheckReport:
         return bad
 
     def lines(self):
-        out = []
-        for name, _ in UNIT_CHECKS:
-            err = self.unit_errors[name]
-            mark = "ok" if err < TOLERANCE else "FAIL"
-            out.append(f"unit  {name:18s} max rel err {err:.3e}  {mark}")
-        for group in sorted(self.model_errors):
-            err = self.model_errors[group]
-            mark = "ok" if err < TOLERANCE else "FAIL"
-            out.append(f"model {group:18s} max rel err {err:.3e}  {mark}")
+        rows = [("unit ", name, self.unit_errors[name]) for name, _ in UNIT_CHECKS]
+        rows += [("model", group, self.model_errors[group]) for group in sorted(self.model_errors)]
+        out = [
+            f"{stage} {name:18s} max rel err {err:.3e}  {'ok' if err < TOLERANCE else 'FAIL'}"
+            for stage, name, err in rows
+        ]
         out.append(
             f"{'PASS' if self.passed else 'FAIL'}: {len(self.unit_errors)} op types, "
             f"{self.n_sampled} sampled model parameters, tol {TOLERANCE:g}, "

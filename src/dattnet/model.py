@@ -177,18 +177,12 @@ class DattModel(Module):
 
 
 def _checkpoint_entries(model):
-    entries = list(model.named_params())
+    """(name, owner, attribute) per stored array, in payload order; the
+    array is getattr(owner, attribute)."""
+    entries = [(name, p, "data") for name, p in model.named_params()]
     for name, state in model.named_bn_states():
-        entries.append((f"{name}.running_mean", state))
-        entries.append((f"{name}.running_var", state))
+        entries += [(f"{name}.{attr}", state, attr) for attr in ("running_mean", "running_var")]
     return entries
-
-
-def _entry_array(entry):
-    name, obj = entry
-    if isinstance(obj, T.Tensor):
-        return obj.data
-    return getattr(obj, name.rsplit(".", 1)[1])
 
 
 def _layout(entries):
@@ -196,9 +190,9 @@ def _layout(entries):
     arrays back to back in entry order, indexed as name -> shape, byte offset."""
     index = {}
     offset = 0
-    for entry in entries:
-        shape = _entry_array(entry).shape
-        index[entry[0]] = {"shape": list(shape), "offset": offset}
+    for name, owner, attr in entries:
+        shape = getattr(owner, attr).shape
+        index[name] = {"shape": list(shape), "offset": offset}
         offset += math.prod(shape) * 4
     return index, offset
 
@@ -223,16 +217,12 @@ def save_checkpoint(path, model, norm_stats=None, train_meta=None):
         "train_meta": train_meta or {},
     }
     doc = json.dumps(manifest).encode()
-
-    def emit(tmp):
-        with open(tmp, "wb") as fh:
-            fh.write(CKPT_MAGIC)
-            fh.write(len(doc).to_bytes(8, "little"))
-            fh.write(doc)
-            for entry in entries:
-                fh.write(np.ascontiguousarray(_entry_array(entry), dtype="<f4").tobytes())
-
-    atomic_write(path, emit)
+    with atomic_write(path, "wb") as fh:
+        fh.write(CKPT_MAGIC)
+        fh.write(len(doc).to_bytes(8, "little"))
+        fh.write(doc)
+        for _, owner, attr in entries:
+            fh.write(np.ascontiguousarray(getattr(owner, attr), dtype="<f4").tobytes())
 
 
 def load_checkpoint(path, dtype=np.float32):
@@ -288,14 +278,10 @@ def load_checkpoint(path, dtype=np.float32):
     if len(payload) != payload_bytes or manifest["payload_bytes"] != payload_bytes:
         raise FormatError(f"{path}: payload is {len(payload)} bytes, payload_bytes says "
                           f"{manifest['payload_bytes']}, the index declares {payload_bytes}")
-    for name, obj in entries:
+    for name, owner, attr in entries:
         shape, offset = index[name]["shape"], index[name]["offset"]
         arr = np.frombuffer(payload, dtype="<f4", count=math.prod(shape), offset=offset)
         if not np.isfinite(arr).all():
             raise FormatError(f"{path}: {name} has non-finite values")
-        arr = arr.reshape(shape).astype(dtype)
-        if isinstance(obj, T.Tensor):
-            obj.data = arr
-        else:
-            setattr(obj, name.rsplit(".", 1)[1], arr)
+        setattr(owner, attr, arr.reshape(shape).astype(dtype))
     return model, ns, manifest.get("train_meta", {})

@@ -42,6 +42,10 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
+def must_not_run(*args, **kwargs):
+    pytest.fail("the command did its work before finding it could not write its output")
+
+
 def train_tiny(tmp_path, name="model.ckpt", **overrides):
     cfg_path = write_config(tmp_path, **overrides)
     ckpt = str(tmp_path / name)
@@ -82,11 +86,22 @@ class TestTrain:
         assert key in err[0]
         assert not ckpt.exists()
 
-    def test_checkpoint_in_missing_dir_is_one_error_line(self, tmp_path, capsys):
+    def test_checkpoint_in_missing_dir_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("dattnet.training.train_model", must_not_run)
         cfg_path = write_config(tmp_path)
         ckpt = tmp_path / "missing" / "x.ckpt"
         rc = main(["train", "--config", cfg_path, "--checkpoint", str(ckpt),
                    "--out", str(tmp_path / "log.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_log_in_missing_dir_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("dattnet.training.train_model", must_not_run)
+        cfg_path = write_config(tmp_path)
+        rc = main(["train", "--config", cfg_path, "--checkpoint", str(tmp_path / "x.ckpt"),
+                   "--out", str(tmp_path / "missing" / "log.csv")])
         err = capsys.readouterr().err.splitlines()
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error: "), err
@@ -340,7 +355,10 @@ class TestEval:
         assert not out_csv.exists()
         assert "nope.ckpt" in capsys.readouterr().err
 
-    def test_csv_in_missing_dir_is_one_error_line(self, trained, corpus_dir, tmp_path, capsys):
+    def test_csv_in_missing_dir_is_one_error_line(
+        self, trained, corpus_dir, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("dattnet.evaluation.run_eval", must_not_run)
         out_csv = tmp_path / "missing" / "scores.csv"
         rc = main(
             ["eval", "--checkpoint", trained, "--trials", str(corpus_dir / "trials.txt"),

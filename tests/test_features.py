@@ -194,6 +194,29 @@ class TestExternalFormats:
         with pytest.raises(FormatError):
             F.read_fbank(p)
 
+    def test_atomic_write_that_raises_keeps_the_target(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with F.atomic_write(p, "wb") as fh:
+                fh.write(b"partial")
+                raise RuntimeError("mid-write")
+        assert p.read_bytes() == b"old"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_atomic_write_that_completes_replaces_the_target(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes(b"old")
+        with F.atomic_write(p, "w", newline="") as fh:
+            fh.write("new\r\n")
+        assert p.read_bytes() == b"new\r\n"
+        assert [q.name for q in tmp_path.iterdir()] == ["t.txt"]
+
+    def test_fbank_into_missing_dir_leaves_nothing(self, tmp_path):
+        with pytest.raises(OSError):
+            F.write_fbank(tmp_path / "missing" / "u.fbnk", F.FBankMatrix(np.ones((3, 4))))
+        assert list(tmp_path.iterdir()) == []
+
     def test_wav_roundtrip(self, tmp_path):
         rng = np.random.default_rng(7)
         x = rng.uniform(-0.5, 0.5, size=16000)

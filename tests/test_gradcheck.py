@@ -116,6 +116,23 @@ class TestUnitStage:
         # attention weights go through softmax, so those audits catch it too
         assert failed <= {"softmax", "attention_self", "attention_mutual"}
 
+    @pytest.mark.parametrize("skew", [1.0, 1.05])
+    def test_every_output_of_a_tuple_is_checked(self, skew):
+        # only the second output's backward is skewed, and only y feeds it
+        rng = np.random.default_rng(3)
+        x, w, y = (T.parameter(rng.normal(size=s)) for s in [(4, 3), (3, 2), (4, 3)])
+
+        def op():
+            first, second = T.matmul(x, w), T.softmax_over_axis(y, 0)
+            tape = T.GraphTape.current()
+            if tape is not None and tape._nodes[-1][0] is second:
+                out, fn = tape._nodes[-1]
+                tape._nodes[-1] = (out, lambda g: fn(skew * g))
+            return first, second
+
+        err = gradcheck._check_graph(op, [x, w, y], rng)
+        assert (err > TOLERANCE) == (skew != 1.0), err
+
 
 class TestModelStage:
     def test_sampled_parameters_match_differences(self):

@@ -18,7 +18,6 @@ from dattnet.model import (
     ModelConfig,
     UtteranceRecord,
     _checkpoint_entries,
-    _entry_array,
     _layout,
     _param_bytes_floor,
     load_checkpoint,
@@ -35,6 +34,11 @@ TINY_CFG = BackboneConfig(
 
 def tiny_model(seed=5, **kw):
     return DattModel(TINY_CFG, seed=seed, **kw)
+
+
+def entry_arrays(m):
+    """name -> the array each checkpoint entry stores."""
+    return {name: getattr(owner, attr) for name, owner, attr in _checkpoint_entries(m)}
 
 
 def random_fbank(rng, t, f=32):
@@ -286,12 +290,10 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, m, ns, meta)
         m2, ns2, meta2 = load_checkpoint(path)
-        want = dict(_checkpoint_entries(m))
-        got = dict(_checkpoint_entries(m2))
+        want, got = entry_arrays(m), entry_arrays(m2)
         assert set(want) == set(got)
-        for name in want:
-            a = _entry_array((name, want[name]))
-            b = _entry_array((name, got[name]))
+        for name, a in want.items():
+            b = got[name]
             assert np.array_equal(a, b), name
             assert b.dtype == np.float32
         assert ns2 == ns
@@ -302,18 +304,16 @@ class TestCheckpoint:
         m = tiny_model()
         perturb_running_stats(m, rng)
         before = {
-            name: _entry_array((name, obj)).copy()
-            for name, obj in _checkpoint_entries(m)
-            if name.endswith("running_mean")
+            name: arr.copy() for name, arr in entry_arrays(m).items() if name.endswith("running_mean")
         }
         assert any(v.std() > 0 for v in before.values())
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, m)
         m2, ns, meta = load_checkpoint(path)
         assert ns is None and meta == {}
-        after = dict(_checkpoint_entries(m2))
+        after = entry_arrays(m2)
         for name, val in before.items():
-            assert np.array_equal(val, _entry_array((name, after[name])))
+            assert np.array_equal(val, after[name])
 
     def test_loaded_model_scores_identically(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -410,7 +410,7 @@ class TestCheckpoint:
 
     def test_entries_cover_every_bn_buffer(self):
         m = tiny_model()
-        names = [n for n, _ in _checkpoint_entries(m)]
+        names = [n for n, _, _ in _checkpoint_entries(m)]
         assert len(names) == len(set(names))
         means = {n for n in names if n.endswith(".running_mean")}
         variances = {n for n in names if n.endswith(".running_var")}
