@@ -66,11 +66,38 @@ class UtteranceRecord:
     embedding: np.ndarray     # (X, num_f)
 
 
+def _tune_allocator():
+    """Keep the big temporaries of a forward or train step on heap pages
+    that stay mapped; every `DattModel` calls it when built.
+
+    A train step allocates and frees hundreds of MB of short-lived arrays,
+    an eval or BN-estimation forward tens of MB.  Setting either threshold
+    below turns off glibc's dynamic thresholds, so both are needed:
+    - the mmap threshold keeps arrays over 32 MB (the dynamic threshold's
+      ceiling) on the heap instead of in a fresh mmap each;
+    - the trim threshold keeps the freed heap top mapped; left at its
+      128 KB default, every pass hands its heap back to the kernel and the
+      next pass faults it in again.
+    The cost: the process holds its peak heap, which every pass reaches
+    anyway.  Best effort: silently skipped off glibc.
+    """
+    try:
+        import ctypes
+
+        libc = ctypes.CDLL("libc.so.6")
+        libc.mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    except Exception:
+        pass
+
+
 class DattModel(Module):
     def __init__(self, cfg, seed=0, shared_attention=None, dropout_rate=None, dtype=np.float32):
         """cfg is a BackboneConfig or a ModelConfig.  shared_attention and
         dropout_rate override it when given; left as None they take a
-        ModelConfig's own values, else ModelConfig's defaults."""
+        ModelConfig's own values, else ModelConfig's defaults.  Building
+        one tunes the process's allocator (`_tune_allocator`)."""
+        _tune_allocator()
         given = {"shared_attention": shared_attention, "dropout_rate": dropout_rate}
         cfg = ModelConfig(**{**asdict(cfg), **{k: v for k, v in given.items() if v is not None}})
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 3)))

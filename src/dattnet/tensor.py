@@ -10,7 +10,8 @@ Precision policy: float64 is the verification dtype (finite-difference
 checks, bit-exact convolution ordering), float32 is the training dtype.
 `conv2d` keeps a strict accumulation order (kh, kw, cin) on float64 inputs
 so it matches a naive nested-loop reference bit for bit; float32 inputs take
-an im2col/GEMM path.
+one GEMM over banded patches, each patch row the input strip read by up to 4
+neighbouring outputs, against a band matrix of the kernel (see `conv2d`).
 
 Layout rule: arrays are channels-last, so a per-channel broadcast
 `x * v[c]` over the flat (N, C) view runs one C-element inner loop per row.
@@ -34,7 +35,7 @@ import threading
 from itertools import zip_longest
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InputError, NumericError, ShapeError, TapeError
 
@@ -250,44 +251,67 @@ def _conv_forward_exact(xp, wv, oh, ow, sh, sw, dtype):
     return y
 
 
-def _conv_patches(xp, kh, kw, oh, ow, sh, sw):
-    rows = xp.shape[0] * oh * ow
-    cin = xp.shape[3]
+def _strip(kh, kw, cin, ow):
+    """fo, the output columns of one band patch row: the largest of 4 and 2
+    with fo * cin <= 32 that divides ow, else 1; 1 for a 1x1 kernel."""
+    if kh == kw == 1:
+        return 1
+    return next((fo for fo in (4, 2) if fo * cin <= 32 and ow % fo == 0), 1)
+
+
+def _band_patches(xp, kh, kw, oh, ow, sh, sw, fo):
+    """(B*oh*ow/fo, kh*wi*cin) patch rows of padded input, as in `conv2d`:
+    row (b, t, j) is the strip that outputs j*fo .. j*fo+fo-1 read."""
+    b, _, _, cin = xp.shape
     if kh == kw == 1:
         sub = xp if sh == sw == 1 else xp[:, ::sh, ::sw]
-        return sub.reshape(rows, cin)
-    if cin == 1:
-        # tap-major build: each row is one strided plane copy, and the
-        # transposed view lets both GEMMs run without another copy
-        pt = np.empty((kh * kw, rows), dtype=xp.dtype)
-        for k in range(kh * kw):
-            ih, iw = divmod(k, kw)
-            np.copyto(
-                pt[k].reshape(xp.shape[0], oh, ow),
-                xp[:, ih : ih + (oh - 1) * sh + 1 : sh, iw : iw + (ow - 1) * sw + 1 : sw, 0],
-            )
-        return pt.T
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (b, H', W', cin, kh, kw)
-    win = win[:, ::sh, ::sw]
-    # canonical K order (kh, kw, cin) to match w.reshape(kh*kw*cin, cout)
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(
-        rows, kh * kw * cin
-    )
+        return sub.reshape(b * oh * ow, cin)
+    if xp.strides[2] != cin * xp.strides[3]:
+        xp = np.ascontiguousarray(xp)  # a strip needs (F, C) as one run
+    wi = (fo - 1) * sw + kw
+    sb, st, sf, sc = xp.strides
+    view = as_strided(xp, (b, oh, ow // fo, kh, wi * cin), (sb, sh * st, fo * sw * sf, st, sc))
+    return np.ascontiguousarray(view).reshape(b * oh * (ow // fo), kh * wi * cin)
 
 
-def _conv2d_grads(xp, wv, g, sh, sw, oh, ow, patches, need_dx=True):
-    """dW and d(padded x) for a conv2d node; factored out for fault injection."""
+def _band_weight(wv, fo, sw):
+    """(kh*wi*cin, fo*cout) band matrix: block f is the kernel at column f*sw."""
     kh, kw, cin, cout = wv.shape
-    b = g.shape[0]
-    gflat = g.reshape(-1, cout)
+    band = np.zeros((kh, (fo - 1) * sw + kw, cin, fo, cout), dtype=wv.dtype)
+    for f in range(fo):
+        band[:, f * sw : f * sw + kw, :, f] = wv
+    return band.reshape(-1, fo * cout)
+
+
+def _band_conv(xp, wv, oh, ow, sh, sw):
+    """Band-patch conv of padded input: (patches, output)."""
+    kh, kw, cin, cout = wv.shape
+    fo = _strip(kh, kw, cin, ow)
+    patches = _band_patches(xp, kh, kw, oh, ow, sh, sw, fo)
+    return patches, (patches @ _band_weight(wv, fo, sw)).reshape(xp.shape[0], oh, ow, cout)
+
+
+def _conv2d_grads(xp, wv, g, stride, pad, patches, need_dx=True):
+    """dW and dx (of the unpadded input) for a conv2d node, as `conv2d`
+    describes; factored out for fault injection."""
+    kh, kw, cin, cout = wv.shape
+    (sh, sw), (ph, pw) = stride, pad
+    b, oh, ow, _ = g.shape
+    fo = _strip(kh, kw, cin, ow)
     if patches is None:
-        patches = _conv_patches(xp, kh, kw, oh, ow, sh, sw)
-    gw = (patches.T @ gflat).reshape(kh, kw, cin, cout)
+        patches = _band_patches(xp, kh, kw, oh, ow, sh, sw, fo)
+    gb = (patches.T @ g.reshape(-1, fo * cout)).reshape(kh, -1, cin, fo, cout)
+    gw = sum(gb[:, f * sw : f * sw + kw, :, f] for f in range(fo))
 
     if not need_dx:
         return gw, None
-    if kh == kw == 1 and sh == sw == 1 and xp.shape[1:3] == (oh, ow):
-        return gw, (gflat @ wv.reshape(cin, cout).T).reshape(xp.shape)
+    th, tf = xp.shape[1] - 2 * ph, xp.shape[2] - 2 * pw
+    if sh == sw == 1 and ph < kh and pw < kw:
+        qh, qw = kh - 1 - ph, kw - 1 - pw
+        gp = np.pad(g, ((0, 0), (qh, qh), (qw, qw), (0, 0))) if (qh or qw) else g
+        _, gx = _band_conv(gp, wv[::-1, ::-1].transpose(0, 1, 3, 2), th, tf, 1, 1)
+        return gw, gx
+    gflat = g.reshape(-1, cout)
     gx = np.zeros_like(xp)
     # one small GEMM per kernel tap keeps both the product and the
     # scatter-add contiguous; beats building the full column matrix
@@ -297,7 +321,7 @@ def _conv2d_grads(xp, wv, g, sh, sw, oh, ow, patches, need_dx=True):
             gx[:, ih : ih + (oh - 1) * sh + 1 : sh, iw : iw + (ow - 1) * sw + 1 : sw, :] += (
                 c.reshape(b, oh, ow, cin)
             )
-    return gw, gx
+    return gw, gx[:, ph : ph + th, pw : pw + tf, :]
 
 
 def _inside_taps(n, k, stride, pad, out, dtype):
@@ -322,6 +346,20 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
     and dbeta = <w, P_1^T g> off dW's one GEMM and the batch-summed g, with
     no dx unless x needs one.  Unrecorded (inference), it forms
     gamma * x + beta: one pass over the input, not the output.
+
+    Float32 runs a k x k kernel as one GEMM over banded patches (a one-axis
+    lowering, as in MEC, arXiv:1706.06873).  A patch row is the input strip
+    that fo neighbouring outputs read: kh runs of wi * Cin contiguous values,
+    wi = (fo - 1) * stride + kw.  The kernel becomes a (kh * wi * Cin, fo *
+    Cout) band matrix, zero off each output's window, so the product is
+    (B, T, F, Cout) as it lies.  fo is the largest of 4 and 2 with fo * Cin
+    <= 32 that divides the output width, else 1: the (kh, kw, Cin) im2col.
+    dW folds the fo diagonal blocks of P^T g.  A stride-1 dx is the band
+    forward of g padded by k - 1 - pad, with the kernel rotated and its
+    channels swapped; a strided dx adds one GEMM per tap into its view.
+    The band's zeros multiply a whole strip, and 0 * inf is NaN, so an inf
+    turns all fo outputs of each strip that reads it non-finite; im2col
+    leaves those whose own windows miss it finite.
     """
     xv = x.data
     if xv.ndim != 4:
@@ -368,8 +406,7 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
     if exact:
         yv = _conv_forward_exact(xp, weff, oh, ow, sh, sw, xv.dtype)
     else:
-        patches = _conv_patches(xp, kh, kw, oh, ow, sh, sw)
-        yv = (patches @ weff.reshape(-1, cout)).reshape(xv.shape[0], oh, ow, cout)
+        patches, yv = _band_conv(xp, weff, oh, ow, sh, sw)
     if input_affine is not None:
         # in place, with no temporary the size of the output
         yv += shift * taps.sum(axis=0)
@@ -377,10 +414,8 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
     out = Tensor(yv)
 
     def bwd(g):
-        gw, gx = _conv2d_grads(xp, weff, g, sh, sw, oh, ow, patches, x.requires_grad)
+        gw, gx = _conv2d_grads(xp, weff, g, stride, pad, patches, x.requires_grad)
         if gx is not None:
-            if ph or pw:
-                gx = gx[:, ph : ph + th, pw : pw + tf, :]
             _accum(x, gx)
         if input_affine is not None:
             # P_1^T g: the batch-summed gradient, summed over the taps the

@@ -23,7 +23,8 @@ from .backbone import predicted_trunk_shape
 from .codec import from_json
 from .errors import ConfigError, InputError, ShapeError
 from .features import generate_synthetic_corpus, pad_or_crop
-from .model import DattModel, ModelConfig
+# _tune_allocator is re-exported: the benchmark calls training._tune_allocator
+from .model import DattModel, ModelConfig, _tune_allocator  # noqa: F401
 from .scoring import calibrate_norm_stats, pair_grid_scores
 
 
@@ -280,33 +281,8 @@ def train_step(model, batch, cfg, optimizer, lr_scale, dropout_rng):
     )
 
 
-def _tune_allocator():
-    """Keep a step's big temporaries on heap pages that stay mapped.
-
-    Each step allocates and frees hundreds of MB of short-lived arrays.
-    Setting either threshold below turns off glibc's dynamic thresholds, so
-    both are needed:
-    - the mmap threshold keeps arrays over 32 MB (the dynamic threshold's
-      ceiling) on the heap instead of in a fresh mmap each;
-    - the trim threshold keeps the freed heap top mapped; left at its
-      128 KB default, every step hands its heap back to the kernel and the
-      next step faults it in again.
-    The cost: the process holds its peak heap, which every step reaches
-    anyway.  Best effort: silently skipped off glibc.
-    """
-    try:
-        import ctypes
-
-        libc = ctypes.CDLL("libc.so.6")
-        libc.mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD
-        libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
-    except Exception:
-        pass
-
-
 def train_model(cfg, corpus=None, log_fn=None):
     """Full training run; returns (model, norm_stats, log rows)."""
-    _tune_allocator()
     if corpus is None:
         corpus = generate_synthetic_corpus(
             cfg.num_speakers, cfg.utts_per_speaker, cfg.seed, cfg.noise_sigma, cfg.mel_bins

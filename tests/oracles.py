@@ -1,6 +1,7 @@
 """Reference formulas that tests compare the model's code against."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from dattnet import tensor as T
 from dattnet.errors import NumericError
@@ -36,6 +37,34 @@ def embed_utterance_per_segment(model, fbank):
         f_self=f_self.data,
         embedding=feats.embedding.data,
     )
+
+
+def im2col_sliding(xp, kh, kw, oh, ow, sh, sw):
+    """(B*oh*ow, kh*kw*cin) patch matrix of padded input, K in (kh, kw, cin)
+    order, built from a sliding-window view."""
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]  # (b, oh, ow, cin, kh, kw)
+    rows = xp.shape[0] * oh * ow
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(rows, -1)
+
+
+def conv2d_grads_loop(x, w, g, stride, pad):
+    """(dW, dx) of `tensor.conv2d` in float64, one kernel tap and output cell
+    at a time: dW[i, j] sums x_pad[cell + (i, j)]^T g[cell], and dx, the
+    transposed conv, scatters g[cell] w[i, j]^T back to those input cells."""
+    x, w, g = (np.asarray(a, dtype=np.float64) for a in (x, w, g))
+    _, th, tf, _ = x.shape
+    kh, kw = w.shape[:2]
+    (sh, sw), (ph, pw) = stride, pad
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    gw, gxp = np.zeros_like(w), np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            for oy in range(g.shape[1]):
+                for ox in range(g.shape[2]):
+                    r, c = oy * sh + i, ox * sw + j
+                    gw[i, j] += xp[:, r, c].T @ g[:, oy, ox]
+                    gxp[:, r, c] += g[:, oy, ox] @ w[i, j].T
+    return gw, gxp[:, ph : ph + th, pw : pw + tf]
 
 
 def pool2d_masked(x, kernel, stride, pad=(0, 0)):

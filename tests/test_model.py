@@ -115,6 +115,16 @@ class TestModelBasics:
         rec = m.embed_utterance(random_fbank(rng, 180))
         assert rec.embedding.shape[0] == 1
 
+    def test_building_a_model_tunes_the_allocator(self, monkeypatch, tmp_path):
+        # eval loads its model from a checkpoint and never runs train_model,
+        # so the model itself must set the allocator up for its passes
+        calls = []
+        monkeypatch.setattr(model_mod, "_tune_allocator", lambda: calls.append(1))
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, tiny_model())
+        load_checkpoint(path)
+        assert calls == [1, 1]
+
 
 class TestConfigArguments:
     def test_model_config_values_are_kept(self):

@@ -3,7 +3,8 @@
 Every differentiable op is checked against central finite differences in
 float64 (h=1e-5, relative error < 1e-4).  The convolution forward is
 additionally checked bit for bit against a naive nested-loop reference, and
-batch norm and the max-pool backward against their narrow-row oracles.
+its float32 forward and gradients against float64 loops; batch norm and the
+max-pool backward are checked against their narrow-row oracles.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from dattnet import tensor as T
 from dattnet.errors import InputError, NumericError, ShapeError, TapeError
-from oracles import batch_norm_narrow, pool2d_masked
+from oracles import batch_norm_narrow, conv2d_grads_loop, im2col_sliding, pool2d_masked
 
 
 def fd_grad(f, x, h=1e-5):
@@ -151,6 +152,62 @@ class TestConv2d:
         got = T.conv2d(T.Tensor(x), T.Tensor(w), (1, 1), (1, 1)).data
         want = naive_conv2d(x.astype(np.float64), w.astype(np.float64), (1, 1), (1, 1))
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    # (input, kernel, stride, pad): the stem's 7x7 on one channel, 3x3 at
+    # stage-0 and stage-1 widths, a strided 3x3 (all with 4- or 2-column
+    # strips); then widths whose strip falls back to 2 or 1 column: a TINY
+    # stage-3 width of 2, odd widths 5 and 7, strided to 7
+    BAND_CASES = [
+        ((2, 9, 16, 1), (7, 7, 1, 4), (1, 1), (3, 3)),
+        ((2, 7, 12, 8), (3, 3, 8, 8), (1, 1), (1, 1)),
+        ((2, 7, 8, 16), (3, 3, 16, 16), (1, 1), (1, 1)),
+        ((2, 9, 16, 8), (3, 3, 8, 16), (2, 2), (1, 1)),
+        ((2, 5, 2, 8), (3, 3, 8, 8), (1, 1), (1, 1)),
+        ((2, 6, 5, 4), (3, 3, 4, 4), (1, 1), (1, 1)),
+        ((2, 6, 7, 8), (3, 3, 8, 8), (1, 1), (1, 1)),
+        ((2, 7, 14, 4), (3, 3, 4, 8), (2, 2), (1, 1)),
+    ]
+    # float32 against float64 loops, relative to the largest reference entry
+    F32_TOL = 32 * np.finfo(np.float32).eps
+
+    def _f32_against_loops(self, x, w, stride, pad, seed):
+        oh, ow = (T.conv_out_extent(x.shape[1 + a], w.shape[a], stride[a], pad[a]) for a in (0, 1))
+        g = np.random.default_rng(seed).normal(size=(x.shape[0], oh, ow, w.shape[3]))
+        xt, wt = T.parameter(np.asarray(x, np.float32)), T.parameter(w.astype(np.float32))
+        with T.GraphTape() as tape:
+            y = T.conv2d(xt, wt, stride, pad)
+            loss = T.sum_over(T.mul(y, T.Tensor(g.astype(np.float32))))
+        T.backward(loss, tape)
+        want_gw, want_gx = conv2d_grads_loop(x, w, g, stride, pad)
+        for got, want in [
+            (y.data, naive_conv2d(np.asarray(x, np.float64), w, stride, pad)),
+            (wt.grad, want_gw),
+            (xt.grad, want_gx),
+        ]:
+            assert got.dtype == np.float32 and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=self.F32_TOL * np.abs(want).max())
+
+    @pytest.mark.parametrize("xs, ws, stride, pad", BAND_CASES)
+    def test_band_float32_matches_float64_loops(self, xs, ws, stride, pad):
+        rng = np.random.default_rng(sum(xs + ws))
+        self._f32_against_loops(rng.normal(size=xs), rng.normal(size=ws), stride, pad, 1)
+
+    def test_band_non_contiguous_input_without_padding(self):
+        rng = np.random.default_rng(10)
+        # every other frequency bin, first 5 of 8 channels: no (F, C) run
+        x = rng.normal(size=(2, 7, 20, 8)).astype(np.float32)[:, :, ::2, :5]
+        assert x.strides[2] != 5 * x.strides[3]
+        self._f32_against_loops(x, rng.normal(size=(3, 3, 5, 4)), (1, 1), (0, 0), 2)
+
+    @pytest.mark.parametrize("xs, ws, stride, pad", BAND_CASES)
+    def test_one_column_strips_are_the_sliding_window_im2col(self, xs, ws, stride, pad):
+        xp = np.pad(np.random.default_rng(11).normal(size=xs).astype(np.float32),
+                    ((0, 0), pad, pad, (0, 0)))
+        kh, kw = ws[:2]
+        oh = T.conv_out_extent(xs[1], kh, stride[0], pad[0])
+        ow = T.conv_out_extent(xs[2], kw, stride[1], pad[1])
+        got = T._band_patches(xp, kh, kw, oh, ow, *stride, 1)
+        assert np.array_equal(got, im2col_sliding(xp, kh, kw, oh, ow, *stride))
 
     def test_output_extent(self):
         assert T.conv_out_extent(300, 7, 2, 3) == 150
