@@ -12,8 +12,10 @@ time (embedding), and classifies speakers (logits).
 Both streams are linear in the input, so the normalization's scalar affine
 is folded into them (batch-norm folding): `bn_in` only standardizes the
 frames, and each map convolves gamma * xhat + beta through conv2d's
-`input_affine`.  The frames need no gradient, so neither map computes one;
-gamma and beta take theirs from the maps' weight-gradient products.
+`input_affine`: gamma times the map of xhat plus beta times the map of one
+image of ones, padded like the frames.  The frames need no gradient, so
+neither map computes one; gamma and beta take theirs from the maps'
+weight-gradient products of xhat and of the ones image.
 Inference, which records no tape, applies the affine to the frames, bit for
 bit as an unfolded layer would.  `bn_in` is a one-channel BatchNorm, so a
 checkpoint stores its gamma, beta and running statistics like any other's.

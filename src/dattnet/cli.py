@@ -58,8 +58,11 @@ def _load_config(args):
 
 
 def _check_writable(*paths):
-    """Raise OSError before any work if an output's directory takes no new file."""
+    """Raise OSError before any work if an output is a directory or its
+    directory takes no new file."""
     for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise OSError(f"{path}: is a directory")
         folder = os.path.dirname(os.path.abspath(path))
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
             raise OSError(f"{path}: cannot create a file in {folder}")

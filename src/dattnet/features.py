@@ -245,7 +245,10 @@ def read_fbank(path):
             f"{path}: payload is {len(payload)} bytes, header declares {t * fbins * 4}"
         )
     frames = np.frombuffer(payload, dtype="<f4").reshape(t, fbins)
-    return FBankMatrix(frames)
+    try:
+        return FBankMatrix(frames)
+    except InputError as e:
+        raise FormatError(f"{path}: {e}") from e
 
 
 def read_wav(path):

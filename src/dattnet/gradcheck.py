@@ -110,7 +110,7 @@ def _check_graph(op, leaves, rng, n_entries=6, zeros=None):
 
 def _unit_conv(rng):
     worst = 0.0
-    # the last two fold an input affine (gamma, beta) into the conv
+    # those marked True fold an input affine (gamma, beta) into the conv
     cases = [
         ((2, 10, 7, 3), (3, 3, 3, 4), (1, 1), (1, 1), False),
         ((2, 12, 9, 1), (7, 7, 1, 2), (1, 1), (3, 3), False),
@@ -118,6 +118,7 @@ def _unit_conv(rng):
         ((2, 11, 9, 2), (3, 3, 2, 4), (2, 2), (1, 1), False),
         ((2, 12, 9, 1), (7, 7, 1, 2), (1, 1), (3, 3), True),
         ((2, 11, 9, 2), (3, 3, 2, 4), (2, 2), (1, 1), True),
+        ((2, 5, 1, 6), (1, 1, 6, 6), (1, 1), (0, 0), True),
     ]
     for xshape, wshape, stride, pad, folded in cases:
         x = T.parameter(rng.normal(size=xshape))

@@ -237,15 +237,34 @@ def conv_out_extent(n, k, stride, pad):
     return (n + 2 * pad - k) // stride + 1
 
 
-def _conv_forward_exact(xp, wv, oh, ow, sh, sw, dtype):
+def _window_extents(op, x, kernel, stride, pad):
+    """(oh, ow) of `op`'s windows over 4-d (B, T, F, C) `x`; a ShapeError
+    for any other rank or a non-positive extent."""
+    if x.ndim != 4:
+        raise ShapeError(f"{op} input must be 4-d, got {x.shape}")
+    th, tf = x.shape[1:3]
+    oh, ow = (conv_out_extent(*a) for a in zip((th, tf), kernel, stride, pad))
+    if oh < 1 or ow < 1:
+        raise ShapeError(
+            f"{op} output extent non-positive: input {th}x{tf}, kernel {kernel[0]}x{kernel[1]}, "
+            f"stride {stride}, pad {pad} -> {oh}x{ow}"
+        )
+    return oh, ow
+
+
+def _tap(arr, ih, iw, oh, ow, sh, sw):
+    """The (B, oh, ow, C) view of padded `arr` that kernel tap (ih, iw) reads."""
+    return arr[:, ih : ih + (oh - 1) * sh + 1 : sh, iw : iw + (ow - 1) * sw + 1 : sw, :]
+
+
+def _conv_forward_exact(xp, wv, oh, ow, sh, sw):
     # Accumulates in (kh, kw, cin) order with separate multiply/add
     # roundings, reproducing the naive nested-loop reference bit for bit.
-    b = xp.shape[0]
     kh, kw, cin, cout = wv.shape
-    y = np.zeros((b, oh, ow, cout), dtype=dtype)
+    y = np.zeros((xp.shape[0], oh, ow, cout), dtype=xp.dtype)
     for ih in range(kh):
         for iw in range(kw):
-            xs = xp[:, ih : ih + (oh - 1) * sh + 1 : sh, iw : iw + (ow - 1) * sw + 1 : sw, :]
+            xs = _tap(xp, ih, iw, oh, ow, sh, sw)
             for ic in range(cin):
                 y += xs[..., ic : ic + 1] * wv[ih, iw, ic, :]
     return y
@@ -317,18 +336,9 @@ def _conv2d_grads(xp, wv, g, stride, pad, patches, need_dx=True):
     # scatter-add contiguous; beats building the full column matrix
     for ih in range(kh):
         for iw in range(kw):
-            c = gflat @ wv[ih, iw].T
-            gx[:, ih : ih + (oh - 1) * sh + 1 : sh, iw : iw + (ow - 1) * sw + 1 : sw, :] += (
-                c.reshape(b, oh, ow, cin)
-            )
+            t = _tap(gx, ih, iw, oh, ow, sh, sw)
+            t += (gflat @ wv[ih, iw].T).reshape(b, oh, ow, cin)
     return gw, gx[:, ph : ph + th, pw : pw + tf, :]
-
-
-def _inside_taps(n, k, stride, pad, out, dtype):
-    """(out, k) 0/1 matrix: whether tap i of output o reads a cell of the
-    n-long input rather than its zero padding."""
-    at = np.arange(out)[:, None] * stride + np.arange(k) - pad
-    return ((at >= 0) & (at < n)).astype(dtype)
 
 
 def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
@@ -340,12 +350,14 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
 
     `input_affine=(gamma, beta)`, one-element tensors, convolves the
     zero-padded gamma * x + beta.  Under a tape it is folded in, as
-    conv(x; gamma * w) + beta * conv(1; w): conv(1; w), of the zero-padded
-    ones image, is one map plus edge-row corrections, added in place, and the
-    backward reads dW = gamma P_x^T g + beta P_1^T g, dgamma = <w, P_x^T g>
-    and dbeta = <w, P_1^T g> off dW's one GEMM and the batch-summed g, with
-    no dx unless x needs one.  Unrecorded (inference), it forms
-    gamma * x + beta: one pass over the input, not the output.
+    conv(x; gamma * w) + beta * conv(1; w), where 1 is one (1, T, F, Cin)
+    image of ones, padded like x; its output broadcasts over the batch.
+    Both convs run the same kernels, and so do their weight gradients:
+    P_x^T g of x, and P_1^T g of the ones image against the batch-summed g.
+    dW = gamma P_x^T g + beta P_1^T g, dgamma = <w, P_x^T g> and
+    dbeta = <w, P_1^T g>, with no dx unless x needs one.  Unrecorded
+    (inference), it forms gamma * x + beta: one pass over the input, not
+    the output.
 
     Float32 runs a k x k kernel as one GEMM over banded patches (a one-axis
     lowering, as in MEC, arXiv:1706.06873).  A patch row is the input strip
@@ -361,25 +373,23 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
     turns all fo outputs of each strip that reads it non-finite; im2col
     leaves those whose own windows miss it finite.
     """
-    xv = x.data
-    if xv.ndim != 4:
-        raise ShapeError(f"conv2d input must be 4-d, got {xv.shape}")
-    wv = w.data
+    xv, wv = x.data, w.data
     if wv.ndim != 4:
         raise ShapeError(f"conv2d weight must be 4-d, got {wv.shape}")
     kh, kw, cin, cout = wv.shape
+    oh, ow = _window_extents("conv2d", xv, (kh, kw), stride, pad)
     if xv.shape[-1] != cin:
         raise ShapeError(f"input channels {xv.shape[-1]} != kernel depth {cin}")
-    sh, sw = stride
-    ph, pw = pad
-    th, tf = xv.shape[1], xv.shape[2]
-    oh = conv_out_extent(th, kh, sh, ph)
-    ow = conv_out_extent(tf, kw, sw, pw)
-    if oh < 1 or ow < 1:
-        raise ShapeError(
-            f"conv2d output extent non-positive: input {th}x{tf}, kernel {kh}x{kw}, "
-            f"stride {stride}, pad {pad} -> {oh}x{ow}"
-        )
+    (sh, sw), (ph, pw) = stride, pad
+
+    def padded(a):
+        return np.pad(a, ((0, 0), (ph, ph), (pw, pw), (0, 0))) if (ph or pw) else a
+
+    def forward(xp, wv):
+        if xp.dtype == np.float64:
+            return None, _conv_forward_exact(xp, wv, oh, ow, sh, sw)
+        return _band_conv(xp, wv, oh, ow, sh, sw)
+
     inputs = (x, w) if input_affine is None else (x, w, *input_affine)
     weff = wv
     if input_affine is not None:
@@ -391,26 +401,12 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
         else:
             scale, shift = gamma.data.reshape(()), beta.data.reshape(())
             weff = wv * scale
-            cols = _inside_taps(tf, kw, sw, pw, ow, wv.dtype)  # (ow, kw)
-            wsum = wv.sum(axis=2)  # the ones image has every channel set
-            taps = cols @ wsum  # (kh, ow, cout): conv(1; w) of each row of taps
-            # an output row sums all kh rows of taps but those in the
-            # padding, -1 in `gap`; only the few edge rows have any
-            gap = _inside_taps(th, kh, sh, ph, oh, wv.dtype) - 1  # (oh, kh)
-            edge = np.flatnonzero(gap.any(axis=1))
-            gap = gap[edge]
-    xp = np.pad(xv, ((0, 0), (ph, ph), (pw, pw), (0, 0))) if (ph or pw) else xv
-
-    exact = xv.dtype == np.float64
-    patches = None
-    if exact:
-        yv = _conv_forward_exact(xp, weff, oh, ow, sh, sw, xv.dtype)
-    else:
-        patches, yv = _band_conv(xp, weff, oh, ow, sh, sw)
+            ones = padded(np.ones((1, *xv.shape[1:]), dtype=xv.dtype))
+            patches1, y1 = forward(ones, wv)
+    xp = padded(xv)
+    patches, yv = forward(xp, weff)
     if input_affine is not None:
-        # in place, with no temporary the size of the output
-        yv += shift * taps.sum(axis=0)
-        yv[:, edge] += shift * np.tensordot(gap, taps, 1)
+        yv += shift * y1  # in place, with no temporary the size of the output
     out = Tensor(yv)
 
     def bwd(g):
@@ -418,13 +414,10 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
         if gx is not None:
             _accum(x, gx)
         if input_affine is not None:
-            # P_1^T g: the batch-summed gradient, summed over the taps the
-            # way conv(1; w) sums w
-            per_row = g.sum(axis=(0, 1)) + np.tensordot(gap.T, g[:, edge].sum(axis=0), 1)
-            g1 = cols.T @ per_row  # (kh, kw, cout)
+            g1, _ = _conv2d_grads(ones, wv, g.sum(axis=0, keepdims=True), stride, pad, patches1, False)
             _accum(gamma, np.vdot(wv, gw).reshape(gamma.data.shape))
-            _accum(beta, np.vdot(wsum, g1).reshape(beta.data.shape))
-            gw = scale * gw + shift * g1[:, :, None, :]
+            _accum(beta, np.vdot(wv, g1).reshape(beta.data.shape))
+            gw = scale * gw + shift * g1
         _accum(w, gw)
 
     return _record(inputs, out, bwd)
@@ -447,28 +440,14 @@ def pool2d(x, kernel, stride, pad=(0, 0)):
     masked add per tap, taps in order.
     """
     xv = x.data
-    if xv.ndim != 4:
-        raise ShapeError(f"pool2d input must be 4-d, got {xv.shape}")
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = pad
-    th, tf = xv.shape[1], xv.shape[2]
-    oh = conv_out_extent(th, kh, sh, ph)
-    ow = conv_out_extent(tf, kw, sw, pw)
-    if oh < 1 or ow < 1:
-        raise ShapeError(
-            f"pool2d output extent non-positive: input {th}x{tf}, kernel {kernel}, "
-            f"stride {stride}, pad {pad} -> {oh}x{ow}"
-        )
+    oh, ow = _window_extents("pool2d", xv, kernel, stride, pad)
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, pad
+    th, tf = xv.shape[1:3]
     if ph or pw:
         xp = np.pad(xv, ((0, 0), (ph, ph), (pw, pw), (0, 0)), constant_values=-np.inf)
     else:
         xp = xv
-
-    def tap(arr, ih, iw):
-        return arr[:, ih : ih + (oh - 1) * sh + 1 : sh, iw : iw + (ow - 1) * sw + 1 : sw, :]
-
-    yv = tap(xp, 0, 0).copy()
+    yv = _tap(xp, 0, 0, oh, ow, sh, sw).copy()
     # running argmax with strict >, so the first (row-major) maximum wins,
     # matching a flat argmax; the tap index drives the backward.  A tap
     # that beats the running max is the argmax so far, and taps come in
@@ -477,7 +456,7 @@ def pool2d(x, kernel, stride, pad=(0, 0)):
     if _recording((x,)) is not None:
         am = np.zeros(yv.shape, dtype=np.uint8 if kh * kw <= 256 else np.int32)
     for k in range(1, kh * kw):
-        t = tap(xp, *divmod(k, kw))
+        t = _tap(xp, *divmod(k, kw), oh, ow, sh, sw)
         if am is not None:
             np.maximum(am, np.multiply(t > yv, k, dtype=am.dtype), out=am)
         np.maximum(yv, t, out=yv)

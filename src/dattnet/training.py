@@ -61,8 +61,10 @@ class TrainConfig:
     def __post_init__(self):
         self.channels = tuple(self.channels)
         self.blocks_per_stage = tuple(self.blocks_per_stage)
-        if self.speakers_per_batch < 2:
-            raise ConfigError(f"speakers_per_batch must be >= 2, got {self.speakers_per_batch}")
+        for key, low in (("speakers_per_batch", 2), ("utts_per_speaker", 2), ("calib_pairs", 2),
+                         ("noise_sigma", 0), ("pos_weight", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.speakers_per_batch > self.num_speakers:
             raise ConfigError(
                 f"speakers_per_batch {self.speakers_per_batch} exceeds "

@@ -70,6 +70,10 @@ MALFORMED_CONFIGS = {
     "lr_backbone is NaN": ("lr_backbone", math.nan),
     "s is Infinity": ("s", math.inf),
     "s is 10^400, past the float range": ("s", 10**400),
+    "one calibration pair": ("calib_pairs", 1),
+    "one utterance per speaker": ("utts_per_speaker", 1),
+    "negative noise_sigma": ("noise_sigma", -0.5),
+    "negative pos_weight": ("pos_weight", -1.0),
 }
 
 
@@ -105,6 +109,20 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error: "), err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--out"])
+    def test_output_naming_a_directory_fails_before_training(
+        self, flag, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("dattnet.training.train_model", must_not_run)
+        outputs = {"--checkpoint": str(tmp_path / "x.ckpt"), "--out": str(tmp_path / "log.csv")}
+        outputs[flag] = str(tmp_path)
+        rc = main(["train", "--config", write_config(tmp_path),
+                   *(a for item in outputs.items() for a in item)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and "directory" in err[0], err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_integers_fit_number_fields(self):
@@ -367,6 +385,19 @@ class TestEval:
         err = capsys.readouterr().err.splitlines()
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error: "), err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_naming_a_directory_is_one_error_line(
+        self, trained, corpus_dir, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("dattnet.evaluation.run_eval", must_not_run)
+        rc = main(
+            ["eval", "--checkpoint", trained, "--trials", str(corpus_dir / "trials.txt"),
+             "--out", str(tmp_path)]
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and "directory" in err[0], err
         assert list(tmp_path.iterdir()) == []
 
     def test_malformed_trial_line_names_line_number(self, trained, tmp_path, capsys):

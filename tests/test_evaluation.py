@@ -1,6 +1,7 @@
 """Segmentation, EER, trial parsing, and evaluation-loop tests."""
 
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from dattnet.evaluation import (
     segment_utterance,
     write_score_csv,
 )
-from dattnet.features import FBankMatrix, write_fbank
+from dattnet.features import FBNK_MAGIC, FBankMatrix, write_fbank
 from dattnet.model import DattModel
 from dattnet.scoring import NormStats
 
@@ -238,6 +239,29 @@ class TestRunEval:
         report = run_eval(trials, StubModel(), NormStats(0, 1, 0, 1))
         assert report["n_scored"] == 2
         assert report["n_errors"] == 1
+
+    def test_invalid_fbank_values_skip_their_own_trial(self, tmp_path):
+        # well-formed files whose matrix FBankMatrix refuses: a NaN, no frames
+        paths = self.setup_corpus(tmp_path)
+        nan_frames = np.ones((40, 8), dtype="<f4")
+        nan_frames[3, 5] = np.nan
+        bad = {"nan": nan_frames, "empty": np.zeros((0, 8), dtype="<f4")}
+        for name, frames in bad.items():
+            header = FBNK_MAGIC + struct.pack("<III", *frames.shape, 0)
+            (tmp_path / f"{name}.fbank").write_bytes(header + frames.tobytes())
+        trials = [
+            Trial(1, paths["a"], paths["b"]),
+            Trial(0, str(tmp_path / "nan.fbank"), paths["c"]),
+            Trial(0, paths["a"], paths["c"]),
+            Trial(1, paths["c"], str(tmp_path / "empty.fbank")),
+        ]
+        report = run_eval(trials, StubModel(), NormStats(0, 1, 0, 1), tmp_path / "s.csv")
+        assert report["n_scored"] == 2
+        assert [idx for idx, _ in report["errors"]] == [1, 3]
+        for (_, msg), name in zip(report["errors"], bad):
+            assert f"{name}.fbank" in msg
+        with open(tmp_path / "s.csv", newline="") as fh:
+            assert [r[0] for r in list(csv.reader(fh))[1:]] == ["0", "2"]
 
     def test_empty_trials_raise(self):
         with pytest.raises(InputError):

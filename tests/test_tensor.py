@@ -3,8 +3,9 @@
 Every differentiable op is checked against central finite differences in
 float64 (h=1e-5, relative error < 1e-4).  The convolution forward is
 additionally checked bit for bit against a naive nested-loop reference, and
-its float32 forward and gradients against float64 loops; batch norm and the
-max-pool backward are checked against their narrow-row oracles.
+its float32 forward and gradients, folded input affine included, against
+float64 loops; batch norm and the max-pool backward are checked against
+their narrow-row oracles.
 """
 
 import numpy as np
@@ -167,6 +168,12 @@ class TestConv2d:
         ((2, 6, 7, 8), (3, 3, 8, 8), (1, 1), (1, 1)),
         ((2, 7, 14, 4), (3, 3, 4, 8), (2, 2), (1, 1)),
     ]
+    # the two maps a folded input norm feeds (`input_affine`): the stem's 7x7
+    # on one channel, and the frequency map's 1x1 with the F bins as channels
+    FOLDED_CASES = [
+        ((2, 9, 16, 1), (7, 7, 1, 16), (1, 1), (3, 3)),
+        ((2, 9, 1, 16), (1, 1, 16, 16), (1, 1), (0, 0)),
+    ]
     # float32 against float64 loops, relative to the largest reference entry
     F32_TOL = 32 * np.finfo(np.float32).eps
 
@@ -187,10 +194,37 @@ class TestConv2d:
             assert got.dtype == np.float32 and got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=self.F32_TOL * np.abs(want).max())
 
-    @pytest.mark.parametrize("xs, ws, stride, pad", BAND_CASES)
+    def _folded_f32_against_loops(self, x, w, stride, pad, seed):
+        # conv of the zero-padded gamma * x + beta: the output and dW, and
+        # (dgamma, dbeta) = (<w, P_x^T g>, <w, P_1^T g>) bounded as a pair by
+        # its larger member, as dgamma may be far smaller than dbeta
+        rng = np.random.default_rng(seed)
+        oh, ow = (T.conv_out_extent(x.shape[1 + a], w.shape[a], stride[a], pad[a]) for a in (0, 1))
+        g = rng.normal(size=(x.shape[0], oh, ow, w.shape[3]))
+        gamma, beta = rng.normal(size=2).astype(np.float32).astype(np.float64)
+        wt, gt, bt = (T.parameter(np.asarray(a, np.float32)) for a in (w, [gamma], [beta]))
+        with T.GraphTape() as tape:
+            y = T.conv2d(T.Tensor(x.astype(np.float32)), wt, stride, pad, (gt, bt))
+            loss = T.sum_over(T.mul(y, T.Tensor(g.astype(np.float32))))
+        T.backward(loss, tape)
+        gw_x = conv2d_grads_loop(x, w, g, stride, pad)[0]
+        gw_1 = conv2d_grads_loop(np.ones_like(x), w, g, stride, pad)[0]
+        for got, want in [
+            (y.data, naive_conv2d(gamma * x + beta, w, stride, pad)),
+            (wt.grad, gamma * gw_x + beta * gw_1),
+            (np.concatenate([gt.grad, bt.grad]), np.array([np.vdot(w, gw_x), np.vdot(w, gw_1)])),
+        ]:
+            assert got.dtype == np.float32 and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=self.F32_TOL * np.abs(want).max())
+
+    @pytest.mark.parametrize("xs, ws, stride, pad", BAND_CASES + FOLDED_CASES)
     def test_band_float32_matches_float64_loops(self, xs, ws, stride, pad):
         rng = np.random.default_rng(sum(xs + ws))
-        self._f32_against_loops(rng.normal(size=xs), rng.normal(size=ws), stride, pad, 1)
+        x, w = rng.normal(size=xs), rng.normal(size=ws)
+        if (xs, ws, stride, pad) in self.FOLDED_CASES:
+            self._folded_f32_against_loops(x, w, stride, pad, 1)
+        else:
+            self._f32_against_loops(x, w, stride, pad, 1)
 
     def test_band_non_contiguous_input_without_padding(self):
         rng = np.random.default_rng(10)
