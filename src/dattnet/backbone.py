@@ -27,10 +27,14 @@ frames rather than the nominal 300/32.
 The prefix -- the front block, the first 3x3/2 max pool and stage 0 -- is
 stride 1 in time after that one stride-2 pool.  So an input cut at an even
 frame offset has the same stage-0 rows as the whole input at that place,
-except the rows its own padding reaches (`prefix_reach`).  The overlapping
-segments of one utterance therefore share a single prefix pass, with only
-those edge rows recomputed; `Trunk` takes a stage range so the rest of the
-trunk runs on the stacked segments.
+except the rows its own padding reaches (`prefix_reach`).  Stage 1 opens
+with stride-2 convs, so the same holds one stage on for a cut at an even
+stage-0 row, given the cut's fixed stage-0 rows (`stage1_reach`).  The
+overlapping segments of one utterance therefore share a single pass
+through the prefix and one through stage 1, with only the edge rows
+recomputed.  Stage 2 opens with a stride-2 pool and the segment hop is 25
+stage-1 rows, an odd count, so its rows are not shared; `Trunk` takes a
+stage range so stages 2-3 run on the stacked segments.
 """
 
 from __future__ import annotations
@@ -285,6 +289,31 @@ def prefix_reach(cfg):
     stride = Trunk.FRONT_POOL[1][0]
     edge = Preprocess.STEM // 2 // stride + 1 + 2 * cfg.blocks_per_stage[0]
     return edge, 2 * edge * stride
+
+
+def stage1_reach(cfg):
+    """(edge1, band1) of stage 1 over segments whose stage-0 rows are fixed.
+
+    `edge1` counts the stage-1 rows at each interior segment end that its
+    own padding reaches.  The segment's `edge` stage-0 rows there differ
+    from the shared pass's (`prefix_reach`).  Stage 1's stride-2 3x3 conv
+    reads stage-0 rows 2r-1..2r+1 for row r, so rows 0..edge // 2 read them
+    (row 0 reads the pad too), and its stride-2 1x1 projection reads row 2r,
+    inside those.  The block's second conv widens that by one row and each
+    further block's two convs by one each.  A segment's last rows are
+    reached by one row fewer: its stage-0 row count is even, so the strided
+    conv never reads the pad after it.
+
+    A band of `band1` stage-0 rows run on its own has padding at its far
+    end, which reaches 2 * blocks stage-1 rows back from its start (row 0
+    reads the pad) and 2 * blocks - 1 from its end.  With band1 / 2 = edge1
+    + 2 * blocks rows, the `edge1` rows at its near end are untouched.  An
+    even band1 starts a segment's end band on an even stage-0 row, so its
+    stage-1 rows line up with the segment's.
+    """
+    blocks = cfg.blocks_per_stage[1]
+    edge1 = prefix_reach(cfg)[0] // 2 + 2 * blocks
+    return edge1, 2 * (edge1 + 2 * blocks)
 
 
 def predicted_trunk_shape(cfg, t_in):

@@ -57,15 +57,23 @@ def _load_config(args):
     return cfg
 
 
-def _check_writable(*paths):
-    """Raise OSError before any work if an output is a directory or its
-    directory takes no new file."""
-    for path in filter(None, paths):
+def _check_outputs(outputs, inputs):
+    """Raise OSError before any work if an output is a directory, its
+    directory takes no new file, or its real path names an input or
+    another output.  Both arguments map a flag to its path (or None)."""
+    taken = {os.path.realpath(p): f"{flag} {p}" for flag, p in inputs.items() if p}
+    for flag, path in outputs.items():
+        if not path:
+            continue
         if os.path.isdir(path):
             raise OSError(f"{path}: is a directory")
         folder = os.path.dirname(os.path.abspath(path))
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
             raise OSError(f"{path}: cannot create a file in {folder}")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise OSError(f"{flag} {path} names the same file as {taken[real]}")
+        taken[real] = f"{flag} {path}"
 
 
 def _write_log_csv(path, log):
@@ -96,7 +104,7 @@ def cmd_train(args):
     except (OSError, ConfigError) as e:
         return _fail(e, EXIT_USAGE)
 
-    _check_writable(args.checkpoint, args.out)
+    _check_outputs({"--checkpoint": args.checkpoint, "--out": args.out}, {"--config": args.config})
     model, norm_stats, log = train_model(
         cfg, log_fn=lambda row: print(_format_row(row))
     )
@@ -112,7 +120,7 @@ def cmd_eval(args):
     from .evaluation import parse_trial_list, run_eval
     from .model import load_checkpoint
 
-    _check_writable(args.out)
+    _check_outputs({"--out": args.out}, {"--checkpoint": args.checkpoint, "--trials": args.trials})
     model, norm_stats, _ = load_checkpoint(args.checkpoint)
     if norm_stats is None:
         return _fail(f"{args.checkpoint}: checkpoint has no calibration stats")

@@ -27,11 +27,11 @@ def segment_utterance(f):
     """500-frame views every 100 frames; short input -> one padded segment.
 
     The model embeds all segments through one shared pass of its prefix
-    (front block, front pool, stage 0; see `DattModel.embed_utterance`).
-    That equals the per-segment forward because the prefix is stride 1
-    after one stride-2 pool and the hop is even, so segment rows line up
-    with rows of the shared pass; the rows a segment's own padding reaches
-    are recomputed from bands cut at its ends.
+    (front block, front pool, stage 0) and one of stage 1; see
+    `DattModel.embed_utterance`.  The hop is 50 stage-0 rows and 25 stage-1
+    rows: even, so segment rows line up with rows of the shared passes
+    through the stride-1 prefix and stage 1's stride-2 convs; odd, so not
+    through stage 2's stride-2 pool.
     """
     t = f.n_frames
     if t < SEGMENT_FRAMES:
@@ -144,7 +144,8 @@ def run_eval(trials, model, ns, csv_path=None):
 
     Each distinct utterance is embedded once and reused across trials.
     Unreadable utterances and ones the model cannot take (a FormatError)
-    skip their trial; skipped counts are reported.
+    skip their trial; skipped counts are reported, each with a message
+    that names the file it failed on.
     Aggregation is order-independent (rows keyed by trial index).
     """
     if not trials:
@@ -153,9 +154,16 @@ def run_eval(trials, model, ns, csv_path=None):
 
     def embed(utt):
         # paths are keyed by value, in-memory matrices by identity
-        key = utt if isinstance(utt, str) else id(utt)
+        is_path = isinstance(utt, str)
+        key = utt if is_path else id(utt)
         if key not in cache:
-            cache[key] = model.embed_utterance(_resolve(utt))
+            fbank = _resolve(utt)  # read_fbank's own errors name the path
+            try:
+                cache[key] = model.embed_utterance(fbank)
+            except FormatError as e:
+                if not is_path:
+                    raise
+                raise FormatError(f"{utt}: {e}") from e
         return cache[key]
 
     rows, errors = [], []

@@ -2,9 +2,9 @@
 
 A model bundles the backbone, the attention parameter stacks, and the
 binary head.  Utterances are embedded once into per-segment features, the
-segments sharing one pass through the backbone's prefix; pair scoring
-reuses those records, evaluating all segment combinations of a pair in a
-single broadcast pass.
+segments sharing one pass through the backbone's prefix and one through
+stage 1; pair scoring reuses those records, evaluating all segment
+combinations of a pair in a single broadcast pass.
 
 Checkpoints are a small binary container: an 8-byte magic, a little-endian
 u64 manifest length, a JSON manifest (format version, model config, a
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionParams, compute_f_att, self_attention
-from .backbone import Backbone, BackboneConfig, Module, Trunk, prefix_reach
+from .backbone import Backbone, BackboneConfig, Module, Trunk, prefix_reach, stage1_reach
 from .codec import from_json
 from .errors import ConfigError, FormatError
 from .evaluation import SEGMENT_FRAMES, SEGMENT_HOP, segment_utterance
@@ -38,8 +38,9 @@ from .scoring import BinaryHeadParams, NormStats, cosine_grid, pair_grid_scores
 CKPT_MAGIC = b"DATTCKP1"
 CKPT_VERSION = 1
 PREFIX_STRIDE = Trunk.FRONT_POOL[1][0]  # time stride of the prefix's stage-0 rows
-# segments cut at multiples of the stride share the prefix's stage-0 rows
-assert SEGMENT_HOP % PREFIX_STRIDE == 0 and SEGMENT_FRAMES % PREFIX_STRIDE == 0
+# segments cut at multiples of the stride share the prefix's stage-0 rows, and
+# at even multiples (an even stage-0 hop and row count) stage 1's rows
+assert SEGMENT_HOP % (2 * PREFIX_STRIDE) == 0 and SEGMENT_FRAMES % (2 * PREFIX_STRIDE) == 0
 
 
 @dataclass
@@ -134,44 +135,37 @@ class DattModel(Module):
     def embed_utterance(self, fbank):
         """Segment, run the backbone in inference mode, cache attention inputs.
 
-        All segments share one pass through the backbone's prefix (the front
-        block, the front pool and stage 0) over the frames they cover.  That
-        matches the per-segment forward: the prefix is stride 1 after one
-        stride-2 pool and the segment hop is even, so a segment's stage-0
-        rows are rows of the shared pass -- except the `edge` rows at each
-        interior segment end that the segment's own padding reaches.  Those
-        are recomputed, in one batched pass, from `halo`-frame bands cut at
-        the segment ends (see `prefix_reach`).  Stages 1-3, the head and
-        attention then run on the stacked segments.  In float64 the records
-        equal the per-segment forward's bit for bit; in float32 they differ
-        only by GEMM rounding.
+        The segments share one pass through the backbone's prefix (the front
+        block, the front pool and stage 0) over the frames they cover, and
+        one through stage 1 over its stage-0 rows: `_segment_rows` cuts each
+        segment's rows from the shared pass and recomputes those its own
+        padding reaches (`prefix_reach`, `stage1_reach`).  Stage 2 opens
+        with a stride-2 pool and the hop is an odd 25 stage-1 rows, so
+        stages 2-3, the head and attention run on the stacked segments (see
+        the `backbone` module docstring).  In float64 the records equal the
+        per-segment forward's bit for bit; in float32 they differ only by
+        GEMM rounding.
         """
         if fbank.mel_bins != self.cfg.mel_bins:
             raise FormatError(f"features have {fbank.mel_bins} mel bins, the model takes "
                               f"{self.cfg.mel_bins}")
-        backbone = self.backbone
+        backbone, trunk = self.backbone, self.backbone.trunk
 
         def prefix(frames):  # (B, T, F) -> stage-0 rows, (B, T / PREFIX_STRIDE, F', C)
             x = T.Tensor(np.ascontiguousarray(frames, dtype=self.dtype)[..., None])
-            return backbone.trunk(backbone.pre(x, "infer"), "infer", stages=(0,)).data
+            return trunk(backbone.pre(x, "infer"), "infer", stages=(0,)).data
 
-        segments = segment_utterance(fbank)
+        def stage1(rows):  # stage-0 rows -> stage-1 rows, half as many
+            return trunk(T.Tensor(np.ascontiguousarray(rows)), "infer", stages=(1,)).data
+
+        segments = [s.frames for s in segment_utterance(fbank)]
         n = len(segments)
         # the frames the segments cover; a lone segment may be eval_pad-ded
-        covered = segments[0].frames
-        if n > 1:
-            covered = fbank.frames[: (n - 1) * SEGMENT_HOP + SEGMENT_FRAMES]
-        shared = prefix(covered[None])[0]
-        rows, hop = SEGMENT_FRAMES // PREFIX_STRIDE, SEGMENT_HOP // PREFIX_STRIDE
-        stack = np.stack([shared[i * hop : i * hop + rows] for i in range(n)])
-        if n > 1:
-            edge, halo = prefix_reach(self.cfg)
-            # left-end bands of segments 1.., then right-end bands of segments ..n-2
-            bands = prefix([s.frames[:halo] for s in segments[1:]]
-                           + [s.frames[-halo:] for s in segments[:-1]])
-            stack[1:, :edge] = bands[: n - 1, :edge]
-            stack[:-1, -edge:] = bands[n - 1 :, -edge:]
-        h = backbone.trunk(T.Tensor(stack), "infer", stages=(1, 2, 3))
+        covered = segments[0] if n == 1 else fbank.frames[: (n - 1) * SEGMENT_HOP + SEGMENT_FRAMES]
+        hop = SEGMENT_HOP // PREFIX_STRIDE
+        shared, stack = _segment_rows(prefix, covered, segments, hop, *prefix_reach(self.cfg))
+        _, stack = _segment_rows(stage1, shared, stack, hop // 2, *stage1_reach(self.cfg))
+        h = trunk(T.Tensor(stack), "infer", stages=(2, 3))
         feats = backbone.postprocess(h, "infer")
         f_self, f_att_mutual = self.attend(feats.f_raw, feats.f_id, "infer")
         return UtteranceRecord(
@@ -197,6 +191,27 @@ class DattModel(Module):
             float(cos.astype(np.float64).mean()),
             float(probs.astype(np.float64).mean()),
         )
+
+
+def _segment_rows(run, whole, segments, hop, edge, band):
+    """(shared, stack): `run` once over `whole`, and each segment's rows of it.
+
+    `segments` are the n overlapping inputs that `whole` covers, one every
+    `hop` output rows.  Segment i's output rows are rows i * hop.. of the
+    shared pass, except the `edge` rows at each interior segment end, which
+    its own padding reaches.  Those are recomputed in one batched `run` over
+    `band`-row bands cut at the ends: the left ends of segments 1.., then
+    the right ends of segments ..n-2.
+    """
+    shared = run(whole[None])[0]
+    n = len(segments)
+    rows = len(shared) - (n - 1) * hop
+    stack = np.stack([shared[i * hop : i * hop + rows] for i in range(n)])
+    if n > 1:
+        bands = run([s[:band] for s in segments[1:]] + [s[-band:] for s in segments[:-1]])
+        stack[1:, :edge] = bands[: n - 1, :edge]
+        stack[:-1, -edge:] = bands[n - 1 :, -edge:]
+    return shared, stack
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,23 @@ def _window_extents(op, x, kernel, stride, pad):
     return oh, ow
 
 
+def _pad(a, ph, pw, value=0.0):
+    """(B, T, F, C) `a` with `ph` rows and `pw` columns of `value` on each
+    side (`a` itself when both are 0): the bits of np.pad, without its
+    per-call overhead.  Fills the four border slabs, then copies the
+    interior once."""
+    if not (ph or pw):
+        return a
+    b, t, f, c = a.shape
+    out = np.empty((b, t + 2 * ph, f + 2 * pw, c), dtype=a.dtype)
+    out[:, :ph] = value
+    out[:, ph + t :] = value
+    out[:, ph : ph + t, :pw] = value
+    out[:, ph : ph + t, pw + f :] = value
+    out[:, ph : ph + t, pw : pw + f] = a
+    return out
+
+
 def _tap(arr, ih, iw, oh, ow, sh, sw):
     """The (B, oh, ow, C) view of padded `arr` that kernel tap (ih, iw) reads."""
     return arr[:, ih : ih + (oh - 1) * sh + 1 : sh, iw : iw + (ow - 1) * sw + 1 : sw, :]
@@ -327,8 +344,7 @@ def _conv2d_grads(xp, wv, g, stride, pad, patches, need_dx=True):
     th, tf = xp.shape[1] - 2 * ph, xp.shape[2] - 2 * pw
     if sh == sw == 1 and ph < kh and pw < kw:
         qh, qw = kh - 1 - ph, kw - 1 - pw
-        gp = np.pad(g, ((0, 0), (qh, qh), (qw, qw), (0, 0))) if (qh or qw) else g
-        _, gx = _band_conv(gp, wv[::-1, ::-1].transpose(0, 1, 3, 2), th, tf, 1, 1)
+        _, gx = _band_conv(_pad(g, qh, qw), wv[::-1, ::-1].transpose(0, 1, 3, 2), th, tf, 1, 1)
         return gw, gx
     gflat = g.reshape(-1, cout)
     gx = np.zeros_like(xp)
@@ -382,9 +398,6 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
         raise ShapeError(f"input channels {xv.shape[-1]} != kernel depth {cin}")
     (sh, sw), (ph, pw) = stride, pad
 
-    def padded(a):
-        return np.pad(a, ((0, 0), (ph, ph), (pw, pw), (0, 0))) if (ph or pw) else a
-
     def forward(xp, wv):
         if xp.dtype == np.float64:
             return None, _conv_forward_exact(xp, wv, oh, ow, sh, sw)
@@ -401,9 +414,9 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
         else:
             scale, shift = gamma.data.reshape(()), beta.data.reshape(())
             weff = wv * scale
-            ones = padded(np.ones((1, *xv.shape[1:]), dtype=xv.dtype))
+            ones = _pad(np.ones((1, *xv.shape[1:]), dtype=xv.dtype), ph, pw)
             patches1, y1 = forward(ones, wv)
-    xp = padded(xv)
+    xp = _pad(xv, ph, pw)
     patches, yv = forward(xp, weff)
     if input_affine is not None:
         yv += shift * y1  # in place, with no temporary the size of the output
@@ -443,10 +456,7 @@ def pool2d(x, kernel, stride, pad=(0, 0)):
     oh, ow = _window_extents("pool2d", xv, kernel, stride, pad)
     (kh, kw), (sh, sw), (ph, pw) = kernel, stride, pad
     th, tf = xv.shape[1:3]
-    if ph or pw:
-        xp = np.pad(xv, ((0, 0), (ph, ph), (pw, pw), (0, 0)), constant_values=-np.inf)
-    else:
-        xp = xv
+    xp = _pad(xv, ph, pw, -np.inf)
     yv = _tap(xp, 0, 0, oh, ow, sh, sw).copy()
     # running argmax with strict >, so the first (row-major) maximum wins,
     # matching a flat argmax; the tap index drives the backward.  A tap

@@ -125,6 +125,26 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error: ") and "directory" in err[0], err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("clash", ["checkpoint=out", "out=config", "checkpoint=config"])
+    def test_output_naming_another_path_fails_before_training(
+        self, clash, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("dattnet.training.train_model", must_not_run)
+        cfg_path = write_config(tmp_path)
+        paths = {"checkpoint": str(tmp_path / "x.ckpt"), "out": str(tmp_path / "log.csv"),
+                 "config": cfg_path}
+        dst, src = clash.split("=")
+        # the same file by another spelling: the check compares real paths
+        paths[dst] = os.path.join(str(tmp_path), "sub", "..", os.path.basename(paths[src]))
+        (tmp_path / "sub").mkdir()
+        before = (tmp_path / "config.json").read_bytes()
+        rc = main(["train", *(a for k, v in paths.items() for a in (f"--{k}", v))])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and "same file" in err[0], err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "sub"]
+        assert (tmp_path / "config.json").read_bytes() == before
+
     def test_integers_fit_number_fields(self):
         cfg = config_from_dict(dict(TINY, **{"lambda": 2, "s": 30, "dropout_rate": 0}))
         assert (cfg.lambda_, cfg.s, cfg.dropout_rate) == (2, 30, 0)
@@ -400,6 +420,23 @@ class TestEval:
         assert len(err) == 1 and err[0].startswith("error: ") and "directory" in err[0], err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("clash", ["checkpoint", "trials"])
+    def test_csv_naming_an_input_is_one_error_line(
+        self, clash, trained, corpus_dir, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("dattnet.evaluation.run_eval", must_not_run)
+        ckpt, trials = tmp_path / "model.ckpt", tmp_path / "trials.txt"
+        ckpt.write_bytes(open(trained, "rb").read())
+        trials.write_bytes((corpus_dir / "trials.txt").read_bytes())
+        before = {p.name: p.read_bytes() for p in (ckpt, trials)}
+        link = tmp_path / "out.csv"
+        link.symlink_to({"checkpoint": ckpt, "trials": trials}[clash])
+        rc = main(["eval", "--checkpoint", str(ckpt), "--trials", str(trials), "--out", str(link)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and "same file" in err[0], err
+        assert {p.name: p.read_bytes() for p in (ckpt, trials)} == before
+
     def test_malformed_trial_line_names_line_number(self, trained, tmp_path, capsys):
         bad = tmp_path / "trials.txt"
         bad.write_text("1 a.fbnk b.fbnk\n2 broken\n")
@@ -456,7 +493,7 @@ class TestEval:
         out, err = capsys.readouterr()
         assert rc == 0
         assert "scored 4 trials, 1 errors" in out
-        assert err.splitlines() == ["  trial 4: features have 64 mel bins, the model takes 32"]
+        assert err.splitlines() == [f"  trial 4: {wide}: features have 64 mel bins, the model takes 32"]
         with open(out_csv, newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 4
 

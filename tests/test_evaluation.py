@@ -263,6 +263,21 @@ class TestRunEval:
         with open(tmp_path / "s.csv", newline="") as fh:
             assert [r[0] for r in list(csv.reader(fh))[1:]] == ["0", "2"]
 
+    def test_embed_error_names_its_file_once(self, tmp_path):
+        # a readable file the model refuses: 16 mel bins for a 32-bin model
+        good, bad = tmp_path / "good.fbank", tmp_path / "narrow.fbank"
+        rng = np.random.default_rng(0)
+        write_fbank(good, FBankMatrix(rng.standard_normal((120, 32)).astype(np.float32)))
+        write_fbank(bad, FBankMatrix(rng.standard_normal((120, 16)).astype(np.float32)))
+        trials = [Trial(1, str(good), str(good)), Trial(0, str(good), str(bad)),
+                  Trial(0, str(tmp_path / "missing.fbank"), str(good)),
+                  Trial(1, str(bad), str(bad)), Trial(0, str(good), str(good))]
+        report = run_eval(trials, DattModel(TINY_CFG, seed=0), NormStats(0, 1, 0, 1))
+        assert [idx for idx, _ in report["errors"]] == [1, 2, 3]
+        for (_, msg), name in zip(report["errors"], ["narrow", "missing", "narrow"]):
+            assert msg.count(f"{name}.fbank") == 1, msg
+            assert "good.fbank" not in msg
+
     def test_empty_trials_raise(self):
         with pytest.raises(InputError):
             run_eval([], StubModel(), NormStats(0, 1, 0, 1))

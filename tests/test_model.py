@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from dattnet import model as model_mod
 from dattnet import tensor as T
-from dattnet.backbone import BackboneConfig, prefix_reach
+from dattnet.backbone import BackboneConfig, prefix_reach, stage1_reach
 from dattnet.codec import from_json
 from dattnet.errors import FormatError, NumericError
 from dattnet.features import FBankMatrix, generate_synthetic_corpus
@@ -147,10 +147,11 @@ RECORD_FIELDS = [f.name for f in fields(UtteranceRecord)]
 PREFIX_LENGTHS = (450, 500, 599, 600, 699, 700, 737, 1100, 2000)
 
 
-def prefix_model(b0):
-    """Float64 model with b0 stage-0 blocks and BN layers off their init values."""
+def prefix_model(b0, b1=1):
+    """Float64 model with b0 stage-0 and b1 stage-1 blocks and BN layers off
+    their init values."""
     cfg = BackboneConfig(
-        mel_bins=16, channels=(4, 4, 4, 4), blocks_per_stage=(b0, 1, 1, 1), num_f=4, num_id=3
+        mel_bins=16, channels=(4, 4, 4, 4), blocks_per_stage=(b0, b1, 1, 1), num_f=4, num_id=3
     )
     m = DattModel(cfg, seed=b0, dtype=np.float64)
     rng = np.random.default_rng(b0)
@@ -163,8 +164,8 @@ def prefix_model(b0):
 
 
 class TestSharedPrefix:
-    """embed_utterance runs one prefix pass per utterance; the oracle runs
-    the whole backbone per segment."""
+    """embed_utterance runs one prefix pass and one stage-1 pass per
+    utterance; the oracle runs the whole backbone per segment."""
 
     @pytest.mark.parametrize("b0", [1, 2, 3])
     def test_reach(self, b0):
@@ -190,6 +191,35 @@ class TestSharedPrefix:
         want = embed_utterance_per_segment(m, fb)
         monkeypatch.setattr(model_mod, "prefix_reach", lambda cfg: tuple(
             v - d for v, d in zip(prefix_reach(cfg), cut)))
+        got = m.embed_utterance(fb)
+        for name in RECORD_FIELDS:
+            assert not np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("b0, b1", [(1, 1), (2, 2), (3, 3), (1, 3)])
+    def test_stage1_reach(self, b0, b1):
+        cfg = BackboneConfig(blocks_per_stage=(b0, b1, 2, 2))
+        assert stage1_reach(cfg) == (b0 + 1 + 2 * b1, 2 * b0 + 2 + 8 * b1)
+
+    @pytest.mark.parametrize("b1", [2, 3])
+    @pytest.mark.parametrize("b0", [1, 2, 3])
+    def test_float64_records_equal_with_stage1_blocks(self, b0, b1):
+        m = prefix_model(b0, b1)
+        rng = np.random.default_rng(30 + 3 * b0 + b1)
+        for t in PREFIX_LENGTHS:
+            fb = random_fbank(rng, t, 16)
+            got, want = m.embed_utterance(fb), embed_utterance_per_segment(m, fb)
+            for name in RECORD_FIELDS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (t, name)
+
+    @pytest.mark.parametrize("b1", [1, 2, 3])
+    @pytest.mark.parametrize("cut", [(1, 0), (0, 2)], ids=["edge1-1", "band1-2"])
+    def test_stage1_reach_is_tight(self, b1, cut, monkeypatch):
+        # one stage-1 row fewer recomputed, or a band two stage-0 rows short
+        m = prefix_model(2, b1)
+        fb = random_fbank(np.random.default_rng(40 + b1), 700, 16)
+        want = embed_utterance_per_segment(m, fb)
+        monkeypatch.setattr(model_mod, "stage1_reach", lambda cfg: tuple(
+            v - d for v, d in zip(stage1_reach(cfg), cut)))
         got = m.embed_utterance(fb)
         for name in RECORD_FIELDS:
             assert not np.array_equal(getattr(got, name), getattr(want, name)), name

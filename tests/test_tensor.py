@@ -277,6 +277,23 @@ class TestConv2d:
             T.conv2d(T.Tensor(np.zeros((5, 5, 2))), T.Tensor(np.zeros((3, 3, 2, 4))))
 
 
+class TestPad:
+    @pytest.mark.parametrize("pad", [(3, 3), (1, 0), (0, 2), (2, 1)])
+    @pytest.mark.parametrize("value", [0.0, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_np_pad(self, pad, value, dtype):
+        a = np.random.default_rng(0).standard_normal((2, 5, 4, 3)).astype(dtype)
+        ph, pw = pad
+        got = T._pad(a[:, :, ::-1], ph, pw, value)  # a strided input, too
+        want = np.pad(a[:, :, ::-1], ((0, 0), (ph, ph), (pw, pw), (0, 0)), constant_values=value)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    def test_no_pad_returns_the_input(self):
+        a = np.zeros((1, 2, 2, 1))
+        assert T._pad(a, 0, 0) is a
+
+
 class TestPool2d:
     def test_max_forward(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 4, 4, 1)
