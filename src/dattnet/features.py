@@ -14,10 +14,11 @@ bit-reproducible per seed regardless of generation order.
 from __future__ import annotations
 
 import os
+import secrets
+import stat
 import struct
-import tempfile
 import wave
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,11 +208,23 @@ def atomic_write(path, mode, **open_kw):
     """Yield a fresh temp file beside path, opened with mode and open_kw;
     rename it to path when the block completes.
 
-    If the block raises, the temp file is removed and path is left as it
-    was, so readers never see a partial file.
+    A symlink is resolved first, so the file it names is replaced and the
+    link stays.  The file gets the permissions `open(path, "w")` would
+    leave: an existing file keeps its own, a new one gets 0o666 less the
+    umask.  If the block raises, the temp file is removed and path is left
+    as it was, so readers never see a partial file.
     """
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    path = os.path.realpath(path)
+    while True:  # a fresh name beside path; O_EXCL refuses one that exists
+        tmp = os.path.join(os.path.dirname(path), f"tmp{secrets.token_hex(4)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask
+            break
+        except FileExistsError:
+            continue
     try:
+        with suppress(FileNotFoundError):  # an existing file keeps its mode
+            os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
         with open(fd, mode, **open_kw) as fh:
             yield fh
         os.replace(tmp, path)

@@ -601,6 +601,8 @@ def batch_norm(x, state, mode="train", act=None):
     normalizes with the running stats.  Infer mode writes one buffer in the
     reference order ((x - mean) * invstd) * gamma + beta, so its values are
     those of that expression bit for bit when x and the state share a dtype.
+    It serves every taped call and the norms that `backbone.conv_bn` does
+    not fold into their conv: stream 2's and the dense layers'.
     `act="relu"` applies the rectifier in the same pass (equivalent to
     relu(batch_norm)).
 

@@ -4,6 +4,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from dattnet import tensor as T
+from dattnet.backbone import Backbone, Trunk, conv_bn
 from dattnet.errors import NumericError
 from dattnet.evaluation import segment_utterance
 from dattnet.model import UtteranceRecord
@@ -25,11 +26,13 @@ def am_softmax_prob(embedding, fc2_weights, label, s, m):
     return float(p[label] / p.sum())
 
 
-def embed_utterance_per_segment(model, fbank):
+def embed_utterance_per_segment(model, fbank, route=Backbone.__call__):
     """UtteranceRecord of an utterance whose segments each run the whole
-    backbone on their own: stacked, then forward_utterances and attend."""
+    backbone on their own: stacked, then `route(model.backbone, x, "infer")`
+    and attend."""
     stack = np.stack([seg.frames for seg in segment_utterance(fbank)])
-    feats = model.forward_utterances(stack, "infer")
+    x = T.Tensor(np.ascontiguousarray(stack, dtype=model.dtype)[..., None])
+    feats = route(model.backbone, x, "infer")
     f_self, f_att_mutual = model.attend(feats.f_raw, feats.f_id, "infer")
     return UtteranceRecord(
         f_id=feats.f_id.data,
@@ -174,9 +177,34 @@ def batch_norm_narrow(x, state, mode="train", act=None):
 def preprocess_unfolded(pre, x, mode):
     """`backbone.Preprocess` with bn_in as its own op: `batch_norm`'s affine
     forms the normalised input, and each of the two maps differentiates it,
-    which carries bn_in's gradients back through its backward."""
+    which carries bn_in's gradients back through its backward.  Stream 1
+    and the merge go through `conv_bn` as in `Preprocess`, so only bn_in's
+    route differs."""
     normed = T.batch_norm(x, pre.bn_in.state, mode)
-    s1 = pre.stream1_bn(pre.stream1_conv(normed), mode, act="relu")
+    s1 = conv_bn(pre.stream1_conv, pre.stream1_bn, normed, mode, relu=True)
     s2 = pre.stream2_bn(pre.frequency_map(normed), mode, act="relu")
     merged = T.concat([s1, s2], axis=3)
-    return pre.merge_bn(pre.merge_conv(merged), mode, act="relu")
+    return conv_bn(pre.merge_conv, pre.merge_bn, merged, mode, relu=True)
+
+
+def backbone_unfolded(bb, x, mode):
+    """`backbone.Backbone` with every batch norm after its conv as its own
+    layer, batch_norm(conv(x)), in any mode and with or without a tape."""
+    pre = bb.pre
+    st = pre.bn_in.state
+    xhat, affine = T.standardize(x, st, mode), (st.gamma, st.beta)
+    s1 = pre.stream1_bn(pre.stream1_conv(xhat, affine), mode, act="relu")
+    s2 = pre.stream2_bn(pre.frequency_map(xhat, affine), mode, act="relu")
+    merged = T.concat([s1, s2], axis=3)
+    h = pre.merge_bn(pre.merge_conv(merged), mode, act="relu")
+    for stage_idx, blocks in enumerate(bb.trunk.stages):
+        if stage_idx == 0:
+            h = T.pool2d(h, *Trunk.FRONT_POOL)
+        elif stage_idx == 2:
+            h = T.pool2d(h, (3, 1), (2, 1), (1, 0))
+        for blk in blocks:
+            y = blk.bn1(blk.conv1(h), mode, act="relu")
+            y = blk.bn2(blk.conv2(y), mode)
+            shortcut = h if blk.proj is None else blk.proj_bn(blk.proj(h), mode)
+            h = T.relu(T.add(y, shortcut))
+    return bb.postprocess(h, mode)

@@ -4,7 +4,7 @@ import copy
 
 import numpy as np
 import pytest
-from oracles import preprocess_unfolded
+from oracles import backbone_unfolded, preprocess_unfolded
 
 from dattnet import tensor as T
 from dattnet.backbone import Backbone, BackboneConfig, BasicBlock, Preprocess, predicted_trunk_shape
@@ -108,7 +108,8 @@ class TestPreprocess:
         assert_close(freq.data, pre.frequency_map(T.Tensor(normed)).data, "frequency map")
 
         # with no tape the affine is applied to the input: in infer mode the
-        # very bits of the unfolded route, so eval output does not move
+        # very bits of the unfolded bn_in route, whose stream 1 and merge
+        # go through conv_bn as Preprocess's do
         got, want = (route(copy.deepcopy(pre), x, mode).data
                      for route in (Preprocess.__call__, preprocess_unfolded))
         if mode == "infer":
@@ -164,6 +165,76 @@ class TestBasicBlock:
         x = T.Tensor(np.zeros((2, 6, 6, 4)))
         out = blk(x, "train")
         np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
+
+
+FOLD_CFG = BackboneConfig(mel_bins=32, channels=(4, 4, 8, 8),
+                          blocks_per_stage=(2, 1, 2, 1), num_f=8, num_id=3)
+
+
+def random_bn_states(model, rng):
+    """Every batch norm's gamma, beta and running statistics drawn away
+    from their init values, some gammas negative."""
+    for _, st in model.named_bn_states():
+        st.gamma.data = rng.uniform(-0.5, 1.5, st.channels)
+        st.beta.data = rng.normal(0.0, 0.3, st.channels)
+        st.running_mean = rng.normal(0.0, 0.5, st.channels)
+        st.running_var = rng.uniform(0.3, 2.0, st.channels)
+
+
+class TestConvBnFold:
+    """Untaped infer mode folds each conv-fed batch norm into its conv;
+    train mode and taped calls run batch_norm(conv(x))."""
+
+    def fold_model(self):
+        rng = np.random.default_rng(50)
+        model = Backbone(FOLD_CFG, rng, dtype=np.float64)
+        random_bn_states(model, rng)
+        return model, T.Tensor(rng.normal(size=(2, 70, FOLD_CFG.mel_bins, 1)))
+
+    def test_float64_infer_matches_unfolded(self, monkeypatch):
+        model, x = self.fold_model()
+        want = backbone_unfolded(model, x, "infer")
+        norms, batch_norm = [], T.batch_norm
+
+        def spy(x, state, *args, **kw):
+            norms.append(state)
+            return batch_norm(x, state, *args, **kw)
+
+        monkeypatch.setattr(T, "batch_norm", spy)
+        got = model(x, "infer")
+        # only the norms conv_bn leaves unfolded (stream 2's, fc1's) run as layers
+        assert norms == [model.pre.stream2_bn.state, model.fc1_bn.state]
+        for name in ("f_raw", "f_id", "embedding", "logits"):
+            a, r = getattr(got, name).data, getattr(want, name).data
+            assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max(), name
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_taped_call_runs_unfolded(self, mode):
+        # under a tape the backbone is batch_norm(conv(x)) bit for bit, and
+        # every norm's gamma and beta get their gradients
+        model, x = self.fold_model()
+        proj = np.random.default_rng(51).normal(size=(2, FOLD_CFG.num_f))
+
+        def run(route):
+            m = copy.deepcopy(model)
+            with T.GraphTape() as tape:
+                out = route(m, x, mode)
+                loss = T.sum_over(T.mul(out.embedding, T.Tensor(proj)))
+            T.backward(loss, tape)
+            return out, dict(m.named_params())
+
+        got_out, got = run(Backbone.__call__)
+        want_out, want = run(backbone_unfolded)
+        for name in ("f_raw", "f_id", "embedding", "logits"):
+            assert np.array_equal(getattr(got_out, name).data, getattr(want_out, name).data), name
+        assert got.keys() == want.keys()
+        for name, p in got.items():
+            if name.startswith("fc2"):
+                continue  # the loss reads the embedding, before the classifier
+            assert p.grad is not None, name
+            assert np.array_equal(p.grad, want[name].grad), name
+        for name in ("pre.merge_bn", "trunk.stage1.0.proj_bn", "trunk.stage0.1.bn2"):
+            assert np.abs(got[f"{name}.state.gamma"].grad).max() > 0, name
 
 
 class TestPostprocess:

@@ -5,6 +5,8 @@ formula independently; the corpus mean test uses the law-of-large-numbers
 bound with the modulation bias read off a noise-free corpus of the same seed.
 """
 
+import os
+import stat
 import wave
 
 import numpy as np
@@ -211,6 +213,33 @@ class TestExternalFormats:
             fh.write("new\r\n")
         assert p.read_bytes() == b"new\r\n"
         assert [q.name for q in tmp_path.iterdir()] == ["t.txt"]
+
+    def test_atomic_write_through_a_symlink_replaces_its_target(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        target, link = tmp_path / "real" / "scores.csv", tmp_path / "out.csv"
+        target.write_text("old")
+        link.symlink_to(target)
+        with F.atomic_write(link, "w") as fh:
+            fh.write("new")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == "new"
+        assert list((tmp_path / "real").glob("*.tmp")) == []
+
+    def test_atomic_write_permissions_follow_open(self, tmp_path):
+        # a new file gets 0o666 less the umask; an existing one keeps its mode
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept.write_text("old")
+        kept.chmod(0o640)
+        umask = os.umask(0o022)
+        try:
+            for p in (fresh, kept):
+                with F.atomic_write(p, "w") as fh:
+                    fh.write("new")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert kept.read_text() == "new"
 
     def test_fbank_into_missing_dir_leaves_nothing(self, tmp_path):
         with pytest.raises(OSError):

@@ -25,7 +25,7 @@ from dattnet.model import (
 )
 from dattnet.scoring import NormStats
 from dattnet.training import TrainConfig, build_pair_batch, pair_batch_losses
-from oracles import embed_utterance_per_segment
+from oracles import backbone_unfolded, embed_utterance_per_segment
 
 TINY_CFG = BackboneConfig(
     mel_bins=32, channels=(4, 4, 8, 8), blocks_per_stage=(1, 1, 1, 1), num_f=8, num_id=3
@@ -253,6 +253,39 @@ class TestSharedPrefix:
             for j in range(len(lengths)):
                 assert_allclose(m.score_records(got[i], got[j]),
                                 m.score_records(want[i], want[j]), rtol=0, atol=5e-5)
+
+
+class TestConvBnFold:
+    def test_float32_fold_within_rounding_of_float64_unfolded(self):
+        # embed_utterance folds each conv-fed norm into its conv; against the
+        # float64 per-segment forward of the same weights with every norm
+        # unfolded, it stays within TestSharedPrefix's float32 bounds.  BN
+        # stats come from train-mode passes.
+        cfg = TrainConfig.desk(seed=7, speakers_per_batch=4, crop_frames=200)
+        m = DattModel(cfg.backbone_config(), cfg.seed)
+        calib = generate_synthetic_corpus(4, 2, cfg.seed, cfg.noise_sigma, cfg.mel_bins)
+        rng = np.random.default_rng(6)
+        for _ in range(2):
+            pair_batch_losses(m, build_pair_batch(calib, cfg, rng), cfg, "train", rng)
+        m64 = DattModel(m.cfg, cfg.seed, dtype=np.float64)
+        for (_, owner, attr), (_, owner64, attr64) in zip(_checkpoint_entries(m),
+                                                           _checkpoint_entries(m64)):
+            setattr(owner64, attr64, getattr(owner, attr).astype(np.float64))
+        corpus = generate_synthetic_corpus(
+            2, 2, 12, cfg.noise_sigma, cfg.mel_bins, min_dur_s=12.0, max_dur_s=12.0
+        )
+        got, want = [], []
+        for k, t in enumerate((450, 700, 800, 1100)):
+            fb = FBankMatrix(corpus.utterances[k % 2][k // 2].frames[:t])
+            got.append(m.embed_utterance(fb))
+            want.append(embed_utterance_per_segment(m64, fb, backbone_unfolded))
+            for name in RECORD_FIELDS:
+                a, r = getattr(got[-1], name), getattr(want[-1], name)
+                assert np.abs(a - r).max() <= 2e-5 * np.abs(r).max(), (t, name)
+        for i in range(len(got)):
+            for j in range(len(got)):
+                assert_allclose(m.score_records(got[i], got[j]),
+                                m64.score_records(want[i], want[j]), rtol=0, atol=5e-5)
 
 
 class TestSharedAttention:
