@@ -33,6 +33,14 @@ map, and the dense layers' norms, stay unfolded.  In float32 the fold
 rounds differently from the unfolded layers, about as far from a float64
 forward as they are.
 
+A train step's memory is mostly what its tape keeps for the backward.
+Each conv keeps its band patches (`T.conv2d`), each pool its argmax map,
+and each conv -> batch norm pair the centred conv output and the norm's
+output, which a following ReLU's mask reads.  The centring overwrites the
+conv's output in its own buffer (`conv_bn`), so that buffer holds
+x - mean from the norm's forward on.  `T.backward` frees each node's
+arrays once its closure has run.
+
 Time shrinks by 32x and frequency by 16x through the stack; extents follow
 floor((n + 2*pad - k)/stride) + 1 throughout, so e.g. T=300 lands on 10
 frames rather than the nominal 300/32.
@@ -153,16 +161,25 @@ def conv_bn(conv, bn, x, mode, relu=False, residual=None, input_affine=None):
     only if given, the ReLU only if `relu`.
 
     Train mode and taped calls run the conv, the norm (with the ReLU when
-    there is no residual), then `T.add` and `T.relu`.  An unrecorded
-    infer-mode call runs conv(x; W * s) + t (see the module docstring),
-    with s = gamma / sqrt(running_var + eps) and t = beta - running_mean * s
-    from the state at the call, since training and calibration move it;
-    the shift, the residual and the ReLU go in place on the conv's output.
+    there is no residual), then `T.add` and `T.relu`.  In train mode the
+    conv's fresh output goes to the norm marked `_scratch`, as nothing else
+    reads it, and the norm overwrites it with x - mean, which its backward
+    keeps (`T.batch_norm`).  The conv's backward never reads its output,
+    so the pair's tape nodes hold the centred input and the norm's output,
+    no third array of that size.
+
+    An unrecorded infer-mode call runs conv(x; W * s) + t (see the module
+    docstring), with s = gamma / sqrt(running_var + eps) and
+    t = beta - running_mean * s from the state at the call, since training
+    and calibration move it; the shift, the residual and the ReLU go in
+    place on the conv's output.
     """
     st = bn.state
     leaves = (x, conv.weight, st.gamma, st.beta, *(input_affine or ()))
     if mode != "infer" or T._recording(leaves) is not None:
-        h = bn(conv(x, input_affine), mode, act="relu" if relu and residual is None else None)
+        y = conv(x, input_affine)
+        y._scratch = mode == "train"
+        h = bn(y, mode, act="relu" if relu and residual is None else None)
         if residual is None:
             return h
         h = T.add(h, residual)

@@ -95,6 +95,8 @@ def _format_row(row):
 
 
 def cmd_train(args):
+    import resource
+
     from .errors import ConfigError
     from .model import save_checkpoint
     from .training import config_to_dict, train_model
@@ -112,7 +114,8 @@ def cmd_train(args):
     save_checkpoint(args.checkpoint, model, norm_stats, meta)
     if args.out is not None:
         _write_log_csv(args.out, log)
-    print(f"saved checkpoint {args.checkpoint} after {len(log)} steps")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # ru_maxrss is in KiB
+    print(f"saved checkpoint {args.checkpoint} after {len(log)} steps, peak RSS {peak_mb:.0f} MB")
     return 0
 
 

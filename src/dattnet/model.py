@@ -179,11 +179,13 @@ class DattModel(Module):
         """(mean cosine, mean binary score) over all segment pairs.
 
         Both grids hold float32 per-segment-pair scores; each is returned as
-        the float64 mean of its elements in row-major order.  Swapping r1 and
-        r2 transposes the grids, and a float32 mean would round differently
-        for the two orientations; the float64 mean agrees to float64 rounding,
-        so the result does not depend on which utterance comes first.
+        the float64 mean of its elements in row-major order.  The pair is
+        scored in one canonical orientation, the record with fewer segments
+        first and, at equal counts, the one whose embedding bytes sort
+        first, so swapping r1 and r2 gives the same bits on any BLAS.
         """
+        if _orientation(r2) < _orientation(r1):
+            r1, r2 = r2, r1
         cos = cosine_grid(r1.embedding, r2.embedding)
         a, b = ((T.Tensor(r.f_self), T.Tensor(r.f_att_mutual), T.Tensor(r.f_id)) for r in (r1, r2))
         probs = pair_grid_scores(a, b, self.head, "infer").data
@@ -191,6 +193,11 @@ class DattModel(Module):
             float(cos.astype(np.float64).mean()),
             float(probs.astype(np.float64).mean()),
         )
+
+
+def _orientation(record):
+    """The key `score_records` orders a pair of records by."""
+    return len(record.embedding), record.embedding.tobytes()
 
 
 def _segment_rows(run, whole, segments, hop, edge, band):

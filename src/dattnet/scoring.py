@@ -7,7 +7,8 @@ elementwise, normalizes, and maps to a sigmoid probability in [0, 1] (a
 float32 sigmoid saturates to exactly 1.0 for large logits); negating both
 differences cancels, so the score is exactly order-invariant.  The
 segment-averaged trial score keeps this property because
-`DattModel.score_records` averages the pair-score grids in float64.
+`DattModel.score_records` scores each pair of utterances in one canonical
+orientation.
 
 Raw scores are z-normalized with statistics sampled from training pairs and
 averaged into the fused score.

@@ -3,8 +3,8 @@
 Every array-valued quantity in the model (spectrograms, frame features,
 attention weights, logits, losses) is a `Tensor` wrapping a numpy array.
 Operations executed inside a `GraphTape` context record a backward closure;
-`backward()` replays the tape in reverse and accumulates gradients into
-`Tensor.grad`.
+`backward()` replays the tape in reverse, dropping each node once its
+closure has run, and accumulates gradients into `Tensor.grad`.
 
 Precision policy: float64 is the verification dtype (finite-difference
 checks, bit-exact convolution ordering), float32 is the training dtype.
@@ -43,7 +43,9 @@ from .errors import InputError, NumericError, ShapeError, TapeError
 class Tensor:
     """A dense numeric array, optionally tracked for differentiation."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    # _scratch marks `data` as a buffer that only the next op reads, so that
+    # op may overwrite it (see `batch_norm`); `backbone.conv_bn` sets it
+    __slots__ = ("data", "requires_grad", "grad", "_scratch")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
@@ -51,6 +53,7 @@ class Tensor:
             self.data = self.data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self._scratch = False
 
     def item(self):
         return float(self.data.reshape(()))
@@ -69,14 +72,18 @@ class GraphTape:
     """Ordered record of operations for one reverse sweep.
 
     Ops are appended in execution order, so the list is already a
-    topological order of the graph.  A tape admits exactly one backward
-    pass; tapes are confined to the thread that recorded them.
+    topological order of the graph.  Each node is an op's output and its
+    backward closure, which holds what the op saved for its gradient.  A
+    tape admits exactly one backward pass, which empties it (see
+    `backward`); `len(tape)` stays the number of ops it recorded.  Tapes
+    are confined to the thread that recorded them.
     """
 
     _tls = threading.local()
 
     def __init__(self):
         self._nodes = []
+        self._recorded = 0
         self._used = False
 
     def __enter__(self):
@@ -91,7 +98,7 @@ class GraphTape:
         return False
 
     def __len__(self):
-        return len(self._nodes)
+        return self._recorded
 
     @staticmethod
     def current():
@@ -112,6 +119,7 @@ def _record(inputs, out, backward_fn):
     if tape is not None:
         out.requires_grad = True
         tape._nodes.append((out, backward_fn))
+        tape._recorded += 1
     return out
 
 
@@ -123,14 +131,22 @@ def _accum(t, g):
 
 
 def backward(loss, tape):
-    """Reverse sweep: seeds d(loss)/d(loss)=1, accumulates into .grad."""
+    """Reverse sweep: seeds d(loss)/d(loss)=1, accumulates into .grad.
+
+    Each node is popped off the tape before its closure runs and dropped
+    after, so what the closure saved, and the output with the gradient it
+    consumed, are freed as the sweep passes them unless a caller still
+    holds them.  Leaves, and any output a caller holds, keep their .grad.
+    """
     if tape._used:
         raise TapeError("tape already consumed by a previous backward pass")
     tape._used = True
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     loss.grad = np.ones_like(loss.data)
-    for out, fn in reversed(tape._nodes):
+    nodes = tape._nodes
+    while nodes:
+        out, fn = nodes.pop()
         if out.grad is not None:
             fn(out.grad)
 
@@ -327,27 +343,32 @@ def _band_conv(xp, wv, oh, ow, sh, sw):
     return patches, (patches @ _band_weight(wv, fo, sw)).reshape(xp.shape[0], oh, ow, cout)
 
 
-def _conv2d_grads(xp, wv, g, stride, pad, patches, need_dx=True):
+def _conv2d_grads(xshape, wv, g, stride, pad, patches, need_dx=True):
     """dW and dx (of the unpadded input) for a conv2d node, as `conv2d`
-    describes; factored out for fault injection."""
+    describes, from the padded input's shape and its band patches;
+    factored out for fault injection."""
     kh, kw, cin, cout = wv.shape
     (sh, sw), (ph, pw) = stride, pad
     b, oh, ow, _ = g.shape
     fo = _strip(kh, kw, cin, ow)
-    if patches is None:
-        patches = _band_patches(xp, kh, kw, oh, ow, sh, sw, fo)
     gb = (patches.T @ g.reshape(-1, fo * cout)).reshape(kh, -1, cin, fo, cout)
     gw = sum(gb[:, f * sw : f * sw + kw, :, f] for f in range(fo))
 
     if not need_dx:
         return gw, None
-    th, tf = xp.shape[1] - 2 * ph, xp.shape[2] - 2 * pw
-    if sh == sw == 1 and ph < kh and pw < kw:
+    th, tf = xshape[1] - 2 * ph, xshape[2] - 2 * pw
+    # the band dx's patches hold th * (tf / fd) * kh * wi values per image
+    # and channel of g, wi = fd - 1 + kw, against g's oh * ow: at most 9
+    # times as many for a 3 x 3 kernel, 28 for the 7 x 7 stem, where the
+    # per-tap scatter costs far less
+    fd = _strip(kh, kw, cout, tf)
+    band = th * (tf // fd) * kh * (fd - 1 + kw)
+    if sh == sw == 1 and ph < kh and pw < kw and band <= 16 * oh * ow:
         qh, qw = kh - 1 - ph, kw - 1 - pw
         _, gx = _band_conv(_pad(g, qh, qw), wv[::-1, ::-1].transpose(0, 1, 3, 2), th, tf, 1, 1)
         return gw, gx
     gflat = g.reshape(-1, cout)
-    gx = np.zeros_like(xp)
+    gx = np.zeros(xshape, dtype=patches.dtype)
     # one small GEMM per kernel tap keeps both the product and the
     # scatter-add contiguous; beats building the full column matrix
     for ih in range(kh):
@@ -387,7 +408,14 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
     channels swapped; a strided dx adds one GEMM per tap into its view.
     The band's zeros multiply a whole strip, and 0 * inf is NaN, so an inf
     turns all fo outputs of each strip that reads it non-finite; im2col
-    leaves those whose own windows miss it finite.
+    leaves those whose own windows miss it finite.  A stride-1 dx whose
+    band patches would hold more than 16 times g's values (the 7 x 7 stem)
+    takes the per-tap scatter too.
+
+    A taped call's backward keeps, of x and of the ones image, the band
+    patches in float32 and the padded array in float64, which builds no
+    patches in its forward and rebuilds them there.  So a float32 call
+    frees its padded copy of x when it returns.
     """
     xv, wv = x.data, w.data
     if wv.ndim != 4:
@@ -399,9 +427,17 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
     (sh, sw), (ph, pw) = stride, pad
 
     def forward(xp, wv):
+        """(kept, output) of padded `xp`: kept is what the backward forms
+        the band patches from, the patches themselves in float32 and `xp`
+        in float64, whose forward builds none."""
         if xp.dtype == np.float64:
-            return None, _conv_forward_exact(xp, wv, oh, ow, sh, sw)
+            return xp, _conv_forward_exact(xp, wv, oh, ow, sh, sw)
         return _band_conv(xp, wv, oh, ow, sh, sw)
+
+    def patches(kept):
+        if kept.ndim == 2:
+            return kept
+        return _band_patches(kept, kh, kw, oh, ow, sh, sw, _strip(kh, kw, cin, ow))
 
     inputs = (x, w) if input_affine is None else (x, w, *input_affine)
     weff = wv
@@ -414,20 +450,20 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
         else:
             scale, shift = gamma.data.reshape(()), beta.data.reshape(())
             weff = wv * scale
-            ones = _pad(np.ones((1, *xv.shape[1:]), dtype=xv.dtype), ph, pw)
-            patches1, y1 = forward(ones, wv)
+            kept1, y1 = forward(_pad(np.ones((1, *xv.shape[1:]), dtype=xv.dtype), ph, pw), wv)
     xp = _pad(xv, ph, pw)
-    patches, yv = forward(xp, weff)
+    xshape = xp.shape
+    kept, yv = forward(xp, weff)
     if input_affine is not None:
         yv += shift * y1  # in place, with no temporary the size of the output
     out = Tensor(yv)
 
     def bwd(g):
-        gw, gx = _conv2d_grads(xp, weff, g, stride, pad, patches, x.requires_grad)
+        gw, gx = _conv2d_grads(xshape, weff, g, stride, pad, patches(kept), x.requires_grad)
         if gx is not None:
             _accum(x, gx)
         if input_affine is not None:
-            g1, _ = _conv2d_grads(ones, wv, g.sum(axis=0, keepdims=True), stride, pad, patches1, False)
+            g1, _ = _conv2d_grads(None, wv, g.sum(axis=0, keepdims=True), stride, pad, patches(kept1), False)
             _accum(gamma, np.vdot(wv, gw).reshape(gamma.data.shape))
             _accum(beta, np.vdot(wv, g1).reshape(beta.data.shape))
             gw = scale * gw + shift * g1
@@ -450,7 +486,8 @@ def pool2d(x, kernel, stride, pad=(0, 0)):
     over the outputs in reverse raster order.  For a fixed input, a later
     tap in row-major order belongs to an earlier output in raster order, so
     the reversed scatter sums an input's terms in tap order: the bits of one
-    masked add per tap, taps in order.
+    masked add per tap, taps in order.  The backward keeps the argmax map
+    and the shape of the -inf-padded copy, not the copy.
     """
     xv = x.data
     oh, ow = _window_extents("pool2d", xv, kernel, stride, pad)
@@ -470,13 +507,13 @@ def pool2d(x, kernel, stride, pad=(0, 0)):
         if am is not None:
             np.maximum(am, np.multiply(t > yv, k, dtype=am.dtype), out=am)
         np.maximum(yv, t, out=yv)
+    b, hp, wp, c = xp.shape
     out = Tensor(yv)
 
     def bwd(g):
-        gx = np.zeros(xp.shape, dtype=xp.dtype)  # C order: reshape(-1) is a view
+        gx = np.zeros((b, hp, wp, c), dtype=xv.dtype)  # C order: reshape(-1) is a view
         # flat index in gx of each output's argmax: the offset of tap am
         # within its window, plus the window's origin
-        b, hp, wp, c = xp.shape
         ih, iw = np.divmod(np.arange(kh * kw), kw)
         src = (ih * (wp * c) + iw * c)[am]
         src += np.arange(b).reshape(-1, 1, 1, 1) * (hp * wp * c)
@@ -553,10 +590,11 @@ def _row_blocks(a):
     return [slice(i, i + step) for i in range(0, a.shape[0], step)]
 
 
-def _centred(xv, state, mode):
+def _centred(xv, state, mode, overwrite=False):
     """Flat rows, centred wide rows, per-channel 1/std and `tile` of `xv`:
     the batch statistics (biased variance), folded into the running ones
-    with the state's momentum, in train mode; the running ones in infer."""
+    with the state's momentum, in train mode; the running ones in infer.
+    `overwrite` centres train-mode `xv` in its own buffer."""
     c = xv.shape[-1]
     if c != state.channels:
         raise ShapeError(f"batch_norm: {c} channels vs state {state.channels}")
@@ -573,7 +611,7 @@ def _centred(xv, state, mode):
     # einsum streams the column reduction several times faster than
     # mean(axis=0) at these shapes
     mu = np.einsum("nc->c", flat) / n
-    xc = wide - tile(mu)
+    xc = np.subtract(wide, tile(mu), out=wide if overwrite else None)
     xcf = xc.reshape(n, c)
     var = np.einsum("nc,nc->c", xcf, xcf) / n
     m = state.momentum
@@ -606,6 +644,13 @@ def batch_norm(x, state, mode="train", act=None):
     `act="relu"` applies the rectifier in the same pass (equivalent to
     relu(batch_norm)).
 
+    Train mode keeps the centred input x - mean for its backward, and the
+    output for the ReLU mask.  It centres an input marked `_scratch` (a
+    fresh conv output that `backbone.conv_bn` hands over) in that input's
+    own buffer, which then holds x - mean, not x; any other input, and
+    infer mode, whose backward reads x, leave x as it is.  The bits are
+    those of the out-of-place path.
+
     Per-channel broadcasts run on the wide-row view (see the module
     docstring) and the column reductions on the flat (N, C) view, so the
     values, gradients and running statistics of both modes are, bit for
@@ -618,7 +663,7 @@ def batch_norm(x, state, mode="train", act=None):
     if act not in (None, "relu"):
         raise InputError(f"unknown batch_norm activation {act!r}")
     gamma, beta = state.gamma, state.beta
-    flat, xc, invstd, tile = _centred(xv, state, mode)
+    flat, xc, invstd, tile = _centred(xv, state, mode, overwrite=x._scratch)
 
     if mode == "train":
         n, c = flat.shape

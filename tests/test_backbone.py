@@ -209,22 +209,42 @@ class TestConvBnFold:
             assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max(), name
 
     @pytest.mark.parametrize("mode", ["train", "infer"])
-    def test_taped_call_runs_unfolded(self, mode):
+    def test_taped_call_runs_unfolded(self, mode, monkeypatch):
         # under a tape the backbone is batch_norm(conv(x)) bit for bit, and
-        # every norm's gamma and beta get their gradients
+        # every norm's gamma and beta get their gradients.  In train mode
+        # each conv-fed norm, the stem's behind bn_in's folded affine and
+        # the projections' among them, centres its input in place, where
+        # the unfolded route's norms allocate; infer mode never does
         model, x = self.fold_model()
         proj = np.random.default_rng(51).normal(size=(2, FOLD_CFG.num_f))
+        in_place, batch_norm = [], T.batch_norm
+
+        def spy(x, state, *args, **kw):
+            if x._scratch:
+                in_place.append(state)
+            return batch_norm(x, state, *args, **kw)
+
+        monkeypatch.setattr(T, "batch_norm", spy)
 
         def run(route):
             m = copy.deepcopy(model)
+            in_place.clear()
             with T.GraphTape() as tape:
                 out = route(m, x, mode)
                 loss = T.sum_over(T.mul(out.embedding, T.Tensor(proj)))
             T.backward(loss, tape)
-            return out, dict(m.named_params())
+            return out, dict(m.named_params()), dict(m.named_bn_states()), list(in_place)
 
-        got_out, got = run(Backbone.__call__)
-        want_out, want = run(backbone_unfolded)
+        got_out, got, got_states, got_in_place = run(Backbone.__call__)
+        want_out, want, want_states, want_in_place = run(backbone_unfolded)
+        unfolded = ("pre.bn_in.state", "pre.stream2_bn.state", "fc1_bn.state")
+        conv_fed = [st for name, st in got_states.items() if name not in unfolded]
+        assert {"trunk.stage1.0.proj_bn.state", "pre.stream1_bn.state"} <= got_states.keys()
+        assert sorted(map(id, got_in_place)) == sorted(map(id, conv_fed if mode == "train" else []))
+        assert want_in_place == []
+        for name, st in got_states.items():
+            for stat in ("running_mean", "running_var"):
+                assert np.array_equal(getattr(st, stat), getattr(want_states[name], stat)), name
         for name in ("f_raw", "f_id", "embedding", "logits"):
             assert np.array_equal(getattr(got_out, name).data, getattr(want_out, name).data), name
         assert got.keys() == want.keys()

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import struct
 import wave
 
@@ -158,8 +159,9 @@ class TestTrain:
         for row in rows:
             assert float(row["loss_all"]) > 0.0
             assert float(row["lr_backbone"]) > 0.0
-        out = capsys.readouterr().out
-        assert "saved checkpoint" in out
+        out = capsys.readouterr().out.splitlines()
+        # the closing line reports the process's peak resident set
+        assert re.fullmatch(r"saved checkpoint .* after \d+ steps, peak RSS [1-9]\d* MB", out[-1]), out[-1]
 
     def test_unknown_config_key_names_it(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -313,6 +313,17 @@ class TestScoreRecords:
         assert abs(c12 - c21) <= 1e-10
         assert abs(b12 - b21) <= 1e-10
 
+    @pytest.mark.parametrize("frames", [(700, 600), (700, 700), (500, 500)])
+    def test_swap_gives_the_same_bits(self, monkeypatch, frames):
+        # one canonical orientation: the same float64 pair even from a grid
+        # whose values depend on which record comes first, as a BLAS's may
+        real = model_mod.cosine_grid
+        monkeypatch.setattr(model_mod, "cosine_grid", lambda e1, e2: real(e1, e2) + 1e-3 * e1[:, :1])
+        m = tiny_model()
+        rng = np.random.default_rng(6)
+        r1, r2 = (m.embed_utterance(random_fbank(rng, n)) for n in frames)
+        assert m.score_records(r1, r2) == m.score_records(r2, r1)
+
     def test_grid_mean_matches_single_segment_pairs(self):
         m = tiny_model(dtype=np.float64)
         rng = np.random.default_rng(3)

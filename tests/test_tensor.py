@@ -8,6 +8,9 @@ float64 loops; batch norm and the max-pool backward are checked against
 their narrow-row oracles.
 """
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,19 @@ def check_grads(build, arrays, rtol=1e-4, atol=1e-7):
     for t, a in zip(tensors, arrays):
         want = fd_grad(lambda: float(build(*[T.Tensor(x) for x in arrays]).data), a)
         np.testing.assert_allclose(t.grad, want, rtol=rtol, atol=atol)
+
+
+def traced(fn):
+    """(fn(), bytes that tracemalloc counts as allocated by fn and still held
+    after it, peak bytes allocated during fn)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held - base, peak - base
 
 
 def naive_conv2d(x, w, stride, pad):
@@ -243,6 +259,34 @@ class TestConv2d:
         got = T._band_patches(xp, kh, kw, oh, ow, *stride, 1)
         assert np.array_equal(got, im2col_sliding(xp, kh, kw, oh, ow, *stride))
 
+    def test_stem_dx_takes_the_per_tap_scatter(self):
+        # as a band conv, the stem's 7x7, 1 -> 16 dx would build patches 28
+        # times the gradient's size; the per-tap scatter stays under 2 times
+        rng = np.random.default_rng(12)
+        x, w = rng.normal(size=(2, 40, 64, 1)), rng.normal(size=(7, 7, 1, 16))
+        g = rng.normal(size=(2, 40, 64, 16))
+        x32, w32, g32 = (a.astype(np.float32) for a in (x, w, g))
+        xp = T._pad(x32, 3, 3)
+        patches = T._band_patches(xp, 7, 7, 40, 64, 1, 1, T._strip(7, 7, 1, 64))
+        (gw, gx), _, peak = traced(
+            lambda: T._conv2d_grads(xp.shape, w32, g32, (1, 1), (3, 3), patches))
+        assert peak < 2 * g32.nbytes
+        for got, want in zip((gw, gx), conv2d_grads_loop(x, w, g, (1, 1), (3, 3))):
+            assert got.dtype == np.float32 and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=self.F32_TOL * np.abs(want).max())
+
+    def test_taped_conv_holds_no_padded_input(self):
+        # float32 keeps its band patches for the backward, not the padded x
+        rng = np.random.default_rng(13)
+        x = T.parameter(rng.normal(size=(2, 40, 32, 8)).astype(np.float32))
+        w = T.parameter(rng.normal(size=(3, 3, 8, 8)).astype(np.float32))
+        xp = T._pad(x.data, 1, 1)
+        patches = T._band_patches(xp, 3, 3, 40, 32, 1, 1, T._strip(3, 3, 8, 32))
+        with T.GraphTape() as tape:
+            y, held, _ = traced(lambda: T.conv2d(x, w, (1, 1), (1, 1)))
+        assert len(tape) == 1
+        assert held - y.data.nbytes - patches.nbytes < xp.nbytes // 2
+
     def test_output_extent(self):
         assert T.conv_out_extent(300, 7, 2, 3) == 150
         assert T.conv_out_extent(10, 3, 1, 1) == 10
@@ -323,6 +367,16 @@ class TestPool2d:
     def test_unbatched_input_raises(self):
         with pytest.raises(ShapeError, match="4-d"):
             T.pool2d(T.Tensor(np.zeros((4, 4, 1))), (2, 2), (2, 2))
+
+    def test_taped_pool_holds_no_padded_input(self):
+        # the backward needs the shape of the -inf-padded copy, not the copy
+        x = T.parameter(np.random.default_rng(14).normal(size=(2, 40, 32, 8)).astype(np.float32))
+        xp_bytes = 2 * 42 * 34 * 8 * 4
+        with T.GraphTape() as tape:
+            y, held, _ = traced(lambda: T.pool2d(x, (3, 3), (2, 2), (1, 1)))
+        assert len(tape) == 1
+        argmax_bytes = y.data.size  # one uint8 tap index per output
+        assert held - y.data.nbytes - argmax_bytes < xp_bytes // 2
 
     def test_values_do_not_depend_on_recording(self):
         # only a recorded call builds the argmax map; the pooled values must
@@ -908,6 +962,23 @@ class TestTape:
         with T.GraphTape() as tape:
             loss = T.sum_over(T.mul(x, x))
         T.backward(loss, tape)
+        with pytest.raises(TapeError):
+            T.backward(loss, tape)
+
+    def test_backward_frees_what_it_has_run(self):
+        x = T.parameter(np.array([2.0, 3.0]))
+        with T.GraphTape() as tape:
+            h = T.relu(x)
+            h_data = weakref.ref(h.data)
+            loss = T.sum_over(T.mul(h, x))
+            del h
+        assert len(tape) == 3
+        T.backward(loss, tape)
+        # the tape holds no node, so nothing of h, its closure or its grad,
+        # and still counts the ops it recorded
+        assert tape._nodes == [] and h_data() is None
+        assert len(tape) == 3
+        np.testing.assert_array_equal(x.grad, [4.0, 6.0])
         with pytest.raises(TapeError):
             T.backward(loss, tape)
 

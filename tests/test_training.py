@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,6 +379,29 @@ class TestPairBatchLosses:
         want = T.binary_cross_entropy(T.Tensor(scores), np.eye(3))
         # the backbone runs once on all 2B crops, and once per utterance
         assert_allclose(loss_binary.item(), want.item(), rtol=1e-5)
+
+
+    def test_backward_peaks_at_what_the_forward_held(self):
+        # the sweep frees each node's saved arrays and consumed gradient as
+        # it passes them, so it peaks within 5% of what the forward left
+        # held; a sweep that kept every node to its end would peak about
+        # 1.4 times as high on this config
+        cfg = tiny_cfg()
+        model = DattModel(cfg.backbone_config(), cfg.seed)
+        batch = build_pair_batch(tiny_corpus(cfg), cfg, np.random.default_rng(7))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with T.GraphTape() as tape:
+                loss = pair_batch_losses(model, batch, cfg, "train", np.random.default_rng(8))[2]
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            T.backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * held, (held, peak)
+        assert tape._nodes == [] and len(tape) > 0
 
 
 class TestDescent:
