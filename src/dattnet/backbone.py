@@ -33,13 +33,12 @@ map, and the dense layers' norms, stay unfolded.  In float32 the fold
 rounds differently from the unfolded layers, about as far from a float64
 forward as they are.
 
-A train step's memory is mostly what its tape keeps for the backward.
-Each conv keeps its band patches (`T.conv2d`), each pool its argmax map,
-and each conv -> batch norm pair the centred conv output and the norm's
-output, which a following ReLU's mask reads.  The centring overwrites the
-conv's output in its own buffer (`conv_bn`), so that buffer holds
-x - mean from the norm's forward on.  `T.backward` frees each node's
-arrays once its closure has run.
+A train step's memory is what its tape keeps for the backward (`T`'s
+module docstring); norm, residual-sum, ReLU and pool outputs are freed
+once their forward consumers have run.  After one desk step's forward (16
+crops of 300 x 64) tracemalloc counts 194 MB held: 109 MB of band patches,
+48 MB of conv outputs their norms centre in place (`conv_bn`), the 21 MB
+concat the 1x1 merge conv reads and 12 MB of bool ReLU masks.
 
 Time shrinks by 32x and frequency by 16x through the stack; extents follow
 floor((n + 2*pad - k)/stride) + 1 throughout, so e.g. T=300 lands on 10
@@ -165,8 +164,8 @@ def conv_bn(conv, bn, x, mode, relu=False, residual=None, input_affine=None):
     conv's fresh output goes to the norm marked `_scratch`, as nothing else
     reads it, and the norm overwrites it with x - mean, which its backward
     keeps (`T.batch_norm`).  The conv's backward never reads its output,
-    so the pair's tape nodes hold the centred input and the norm's output,
-    no third array of that size.
+    so the pair's tape nodes hold the centred input and at most a bool
+    ReLU mask, no second float array of that size.
 
     An unrecorded infer-mode call runs conv(x; W * s) + t (see the module
     docstring), with s = gamma / sqrt(running_var + eps) and

@@ -94,9 +94,12 @@ def _format_row(row):
     )
 
 
-def cmd_train(args):
-    import resource
+def _peak_rss_mb():
+    import resource  # ru_maxrss is in KiB
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
+
+def cmd_train(args):
     from .errors import ConfigError
     from .model import save_checkpoint
     from .training import config_to_dict, train_model
@@ -114,8 +117,7 @@ def cmd_train(args):
     save_checkpoint(args.checkpoint, model, norm_stats, meta)
     if args.out is not None:
         _write_log_csv(args.out, log)
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # ru_maxrss is in KiB
-    print(f"saved checkpoint {args.checkpoint} after {len(log)} steps, peak RSS {peak_mb:.0f} MB")
+    print(f"saved checkpoint {args.checkpoint} after {len(log)} steps, peak RSS {_peak_rss_mb():.0f} MB")
     return 0
 
 
@@ -134,6 +136,7 @@ def cmd_eval(args):
         print(f"  trial {idx}: {msg}", file=sys.stderr)
     for key in ("eer_cos", "eer_binary", "eer_all"):
         print(f"{key} {report[key]:.6f}")
+    print(f"peak RSS {_peak_rss_mb():.0f} MB")
     return 0
 
 

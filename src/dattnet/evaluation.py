@@ -81,30 +81,29 @@ def compute_eer(scores):
     """Equal error rate and its threshold from (score, label) pairs.
 
     FAR(t) = fraction of negatives >= t, FRR(t) = fraction of positives
-    < t; both stepped over sorted unique scores with a sentinel above the
-    maximum, then linearly interpolated in (FAR - FRR) at the sign change.
+    < t, each counted by a binary search of the sorted scores; both stepped
+    over sorted unique scores with a sentinel above the maximum, then
+    linearly interpolated in (FAR - FRR) at the sign change.
     """
-    pos = np.asarray([s for s, lab in scores if lab], dtype=np.float64)
-    neg = np.asarray([s for s, lab in scores if not lab], dtype=np.float64)
+    pos = np.sort(np.asarray([s for s, lab in scores if lab], dtype=np.float64))
+    neg = np.sort(np.asarray([s for s, lab in scores if not lab], dtype=np.float64))
     if pos.size == 0 or neg.size == 0:
         raise InputError("EER needs at least one positive and one negative trial")
     thresholds = np.unique(np.concatenate([pos, neg]))
+    if np.isnan(thresholds[-1]):  # NaN sorts last; it has no place in the sweep
+        raise InputError("EER needs scores that are not NaN")
     thresholds = np.append(thresholds, thresholds[-1] + 1.0)  # FAR=0, FRR=1 endpoint
-    # at the lowest threshold FAR=1, FRR=0, so the sweep always starts positive
-    prev_t = prev_far = prev_frr = None
-    for t in thresholds:
-        far = float((neg >= t).mean())
-        frr = float((pos < t).mean())
-        d = far - frr
-        if d == 0.0:
-            return far, float(t)
-        if d < 0.0:
-            d_prev = prev_far - prev_frr
-            alpha = d_prev / (d_prev - d)
-            eer = (1 - alpha) * prev_far + alpha * far
-            return float(eer), float((1 - alpha) * prev_t + alpha * t)
-        prev_t, prev_far, prev_frr = t, far, frr
-    raise InputError("threshold sweep never crossed")  # unreachable with sentinel
+    far = (neg.size - np.searchsorted(neg, thresholds)) / neg.size
+    frr = np.searchsorted(pos, thresholds) / pos.size
+    d = far - frr
+    # at the lowest threshold FAR=1, FRR=0, so d starts positive and the
+    # sentinel's d is -1: i is the first threshold at or past the crossing
+    i = int(np.argmax(d <= 0.0))
+    if d[i] == 0.0:
+        return float(far[i]), float(thresholds[i])
+    alpha = d[i - 1] / (d[i - 1] - d[i])
+    eer = (1 - alpha) * far[i - 1] + alpha * far[i]
+    return float(eer), float((1 - alpha) * thresholds[i - 1] + alpha * thresholds[i])
 
 
 def parse_trial_list(path):

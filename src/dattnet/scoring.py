@@ -28,6 +28,7 @@ from .backbone import BatchNorm, Dense, Module
 from .errors import ConfigError, NumericError
 
 STD_FLOOR = 1e-6
+STD_FLOOR_ULPS = 1000  # float32 spacings at the mean: an ulp moves a z-score <= 1e-3
 
 
 def cosine_grid(e1, e2):
@@ -106,9 +107,10 @@ class NormStats:
 
 def _floored_std(values, name):
     std = float(np.std(values))  # population formula
-    if std < STD_FLOOR:
-        warnings.warn(f"{name} scores are (near-)constant; std floored at {STD_FLOOR}")
-        return STD_FLOOR
+    floor = max(STD_FLOOR, STD_FLOOR_ULPS * float(np.spacing(np.float32(abs(np.mean(values))))))
+    if std < floor:
+        warnings.warn(f"{name} scores are (near-)constant; std {std:.3g} floored at {floor:.3g}")
+        return floor
     return std
 
 

@@ -4,7 +4,7 @@ Every array-valued quantity in the model (spectrograms, frame features,
 attention weights, logits, losses) is a `Tensor` wrapping a numpy array.
 Operations executed inside a `GraphTape` context record a backward closure;
 `backward()` replays the tape in reverse, dropping each node once its
-closure has run, and accumulates gradients into `Tensor.grad`.
+closure has run, and accumulates gradients into the leaves' `grad`.
 
 Precision policy: float64 is the verification dtype (finite-difference
 checks, bit-exact convolution ordering), float32 is the training dtype.
@@ -26,6 +26,20 @@ elementwise passes (forward scale, shift and ReLU; the three dx updates)
 over ~512 KB blocks of wide rows (`_row_blocks`), reading each block from
 memory once per chain.  Its reductions, and the ReLU mask product, which
 may read a concat's strided gradient slice, run once over whole arrays.
+
+Memory rule: the tape and the backward closures hold grad slots, not
+outputs (`_record`), so an op's output is freed once its last forward
+consumer has run unless a backward keeps it.  What each backward keeps:
+- add, sub, sum_over, mean_over, reshape, transpose, narrow, concat: shapes;
+- mul, matmul: both operands; sigmoid, softmax_over_axis: the output;
+- l2_normalize: the output and the norms; pool2d: the argmax map;
+- conv2d: the band patches (float32) or the padded input (float64) of x
+  and of the ones image that `input_affine` convolves;
+- batch_norm: x - mean and 1/std (train) or x (infer); relu, and
+  batch_norm with act="relu": the bool mask of positives, as g * mask has
+  the bits of g * (y > 0) as floats;
+- softmax_cross_entropy: the shifted logits; binary_cross_entropy: the
+  probabilities, raw and clamped, and the targets.
 """
 
 from __future__ import annotations
@@ -41,11 +55,12 @@ from .errors import InputError, NumericError, ShapeError, TapeError
 
 
 class Tensor:
-    """A dense numeric array, optionally tracked for differentiation."""
+    """A dense numeric array, optionally tracked for differentiation.  A
+    leaf's gradient is its `grad`; a recorded output's is in its `_slot`."""
 
     # _scratch marks `data` as a buffer that only the next op reads, so that
     # op may overwrite it (see `batch_norm`); `backbone.conv_bn` sets it
-    __slots__ = ("data", "requires_grad", "grad", "_scratch")
+    __slots__ = ("data", "requires_grad", "grad", "_scratch", "_slot")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
@@ -54,6 +69,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._scratch = False
+        self._slot = None
 
     def item(self):
         return float(self.data.reshape(()))
@@ -61,6 +77,18 @@ class Tensor:
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}{flag})"
+
+
+class _Slot:
+    """A recorded output's gradient, held apart from its data (`_record`)."""
+
+    __slots__ = ("grad", "requires_grad")
+
+    def __init__(self, requires_grad=True):
+        self.grad, self.requires_grad = None, requires_grad
+
+
+_NO_GRAD = _Slot(False)  # the slot of every input that needs no gradient
 
 
 def parameter(data, dtype=None):
@@ -72,11 +100,11 @@ class GraphTape:
     """Ordered record of operations for one reverse sweep.
 
     Ops are appended in execution order, so the list is already a
-    topological order of the graph.  Each node is an op's output and its
-    backward closure, which holds what the op saved for its gradient.  A
-    tape admits exactly one backward pass, which empties it (see
-    `backward`); `len(tape)` stays the number of ops it recorded.  Tapes
-    are confined to the thread that recorded them.
+    topological order of the graph.  Each node is an op's grad slot and
+    its backward closure (`_record`).  A tape admits exactly one backward
+    pass, which empties it (see `backward`); `len(tape)` stays the number
+    of ops it recorded.  Tapes are confined to the thread that recorded
+    them.
     """
 
     _tls = threading.local()
@@ -115,40 +143,44 @@ def _recording(inputs):
 
 
 def _record(inputs, out, backward_fn):
+    """`out`, with a tape node if a tape records the op on `inputs`: out's
+    new grad slot, and `backward_fn` called as backward_fn(g, *the inputs'
+    slots), so it keeps of the inputs only the arrays it captures."""
     tape = _recording(inputs)
     if tape is not None:
         out.requires_grad = True
-        tape._nodes.append((out, backward_fn))
+        slot = out._slot = _Slot()
+        slots = [t._slot or (t if t.requires_grad else _NO_GRAD) for t in inputs]
+        tape._nodes.append((slot, lambda g: backward_fn(g, *slots)))
         tape._recorded += 1
     return out
 
 
-def _accum(t, g):
-    if not t.requires_grad:
-        return
-    # Rebinding (never in-place) keeps stored gradients immune to aliasing.
-    t.grad = g if t.grad is None else t.grad + g
+def _accum(slot, g):
+    if slot.requires_grad:
+        # Rebinding (never in-place) keeps stored gradients immune to aliasing.
+        slot.grad = g if slot.grad is None else slot.grad + g
 
 
 def backward(loss, tape):
-    """Reverse sweep: seeds d(loss)/d(loss)=1, accumulates into .grad.
+    """Reverse sweep: seeds d(loss)/d(loss)=1, accumulates into the slots.
 
     Each node is popped off the tape before its closure runs and dropped
-    after, so what the closure saved, and the output with the gradient it
-    consumed, are freed as the sweep passes them unless a caller still
-    holds them.  Leaves, and any output a caller holds, keep their .grad.
+    after, so what the closure saved, and the slot with the gradient it
+    consumed, are freed as the sweep passes them.  Leaves keep their .grad;
+    an output the caller holds keeps its slot's.
     """
     if tape._used:
         raise TapeError("tape already consumed by a previous backward pass")
     tape._used = True
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    loss.grad = np.ones_like(loss.data)
+    (loss._slot or loss).grad = np.ones_like(loss.data)
     nodes = tape._nodes
     while nodes:
-        out, fn = nodes.pop()
-        if out.grad is not None:
-            fn(out.grad)
+        slot, fn = nodes.pop()
+        if slot.grad is not None:
+            fn(slot.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -187,27 +219,22 @@ def broadcast_binary(a, b, op):
     The smaller operand is logically duplicated along size-1 axes; its
     gradient is summed back over the duplicated axes.
     """
-    _broadcast_shape(a.data.shape, b.data.shape)
-    if op == "add":
-        out = Tensor(a.data + b.data)
+    av, bv = a.data, b.data
+    sa, sb = av.shape, bv.shape
+    _broadcast_shape(sa, sb)
+    if op in ("add", "sub"):
+        out = Tensor(av + bv if op == "add" else av - bv)
 
-        def bwd(g):
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(g, b.data.shape))
-
-    elif op == "sub":
-        out = Tensor(a.data - b.data)
-
-        def bwd(g):
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(-g, b.data.shape))
+        def bwd(g, a, b):
+            _accum(a, _unbroadcast(g, sa))
+            _accum(b, _unbroadcast(g if op == "add" else -g, sb))
 
     elif op == "mul":
-        out = Tensor(a.data * b.data)
+        out = Tensor(av * bv)
 
-        def bwd(g):
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        def bwd(g, a, b):
+            _accum(a, _unbroadcast(g * bv, sa))
+            _accum(b, _unbroadcast(g * av, sb))
 
     else:
         raise InputError(f"unknown binary op {op!r}")
@@ -235,7 +262,7 @@ def matmul(a, b):
         raise ShapeError(f"matmul inner extents differ: {av.shape} @ {bv.shape}")
     out = Tensor(np.matmul(av, bv))
 
-    def bwd(g):
+    def bwd(g, a, b):
         ga = np.matmul(g, bv.swapaxes(-1, -2))
         gb = np.matmul(av.swapaxes(-1, -2), g)
         _accum(a, _unbroadcast(ga, av.shape))
@@ -411,11 +438,6 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
     leaves those whose own windows miss it finite.  A stride-1 dx whose
     band patches would hold more than 16 times g's values (the 7 x 7 stem)
     takes the per-tap scatter too.
-
-    A taped call's backward keeps, of x and of the ones image, the band
-    patches in float32 and the padded array in float64, which builds no
-    patches in its forward and rebuilds them there.  So a float32 call
-    frees its padded copy of x when it returns.
     """
     xv, wv = x.data, w.data
     if wv.ndim != 4:
@@ -427,9 +449,7 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
     (sh, sw), (ph, pw) = stride, pad
 
     def forward(xp, wv):
-        """(kept, output) of padded `xp`: kept is what the backward forms
-        the band patches from, the patches themselves in float32 and `xp`
-        in float64, whose forward builds none."""
+        """(what the backward forms the band patches from, output)."""
         if xp.dtype == np.float64:
             return xp, _conv_forward_exact(xp, wv, oh, ow, sh, sw)
         return _band_conv(xp, wv, oh, ow, sh, sw)
@@ -442,13 +462,13 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
     inputs = (x, w) if input_affine is None else (x, w, *input_affine)
     weff = wv
     if input_affine is not None:
-        gamma, beta = input_affine
+        gv, bv = (t.data for t in input_affine)
         if _recording(inputs) is None:
             # no backward will run, and the affine costs a pass over the
             # input here against one over the (cout times larger) output
-            xv, input_affine = xv * gamma.data + beta.data, None
+            xv, input_affine = xv * gv + bv, None
         else:
-            scale, shift = gamma.data.reshape(()), beta.data.reshape(())
+            scale, shift = gv.reshape(()), bv.reshape(())
             weff = wv * scale
             kept1, y1 = forward(_pad(np.ones((1, *xv.shape[1:]), dtype=xv.dtype), ph, pw), wv)
     xp = _pad(xv, ph, pw)
@@ -458,14 +478,14 @@ def conv2d(x, w, stride=(1, 1), pad=(0, 0), input_affine=None):
         yv += shift * y1  # in place, with no temporary the size of the output
     out = Tensor(yv)
 
-    def bwd(g):
+    def bwd(g, x, w, gamma=None, beta=None):
         gw, gx = _conv2d_grads(xshape, weff, g, stride, pad, patches(kept), x.requires_grad)
         if gx is not None:
             _accum(x, gx)
         if input_affine is not None:
             g1, _ = _conv2d_grads(None, wv, g.sum(axis=0, keepdims=True), stride, pad, patches(kept1), False)
-            _accum(gamma, np.vdot(wv, gw).reshape(gamma.data.shape))
-            _accum(beta, np.vdot(wv, g1).reshape(beta.data.shape))
+            _accum(gamma, np.vdot(wv, gw).reshape(gv.shape))
+            _accum(beta, np.vdot(wv, g1).reshape(bv.shape))
             gw = scale * gw + shift * g1
         _accum(w, gw)
 
@@ -486,8 +506,7 @@ def pool2d(x, kernel, stride, pad=(0, 0)):
     over the outputs in reverse raster order.  For a fixed input, a later
     tap in row-major order belongs to an earlier output in raster order, so
     the reversed scatter sums an input's terms in tap order: the bits of one
-    masked add per tap, taps in order.  The backward keeps the argmax map
-    and the shape of the -inf-padded copy, not the copy.
+    masked add per tap, taps in order.
     """
     xv = x.data
     oh, ow = _window_extents("pool2d", xv, kernel, stride, pad)
@@ -508,10 +527,11 @@ def pool2d(x, kernel, stride, pad=(0, 0)):
             np.maximum(am, np.multiply(t > yv, k, dtype=am.dtype), out=am)
         np.maximum(yv, t, out=yv)
     b, hp, wp, c = xp.shape
+    dtype = xv.dtype
     out = Tensor(yv)
 
-    def bwd(g):
-        gx = np.zeros((b, hp, wp, c), dtype=xv.dtype)  # C order: reshape(-1) is a view
+    def bwd(g, x):
+        gx = np.zeros((b, hp, wp, c), dtype=dtype)  # C order: reshape(-1) is a view
         # flat index in gx of each output's argmax: the offset of tap am
         # within its window, plus the window's origin
         ih, iw = np.divmod(np.arange(kh * kw), kw)
@@ -559,12 +579,6 @@ def _wide_rows(xv):
         return t.reshape(-1)
 
     return flat, flat.reshape(n // w, w * c), tile
-
-
-def _relu_grad(g, y):
-    """g * (y > 0), with the mask as floats: a float mask multiplies faster
-    than a bool one, and to the same bits, as numpy reads a bool as 0 / 1."""
-    return g * (y > 0).astype(g.dtype)
 
 
 class BNState:
@@ -644,25 +658,20 @@ def batch_norm(x, state, mode="train", act=None):
     `act="relu"` applies the rectifier in the same pass (equivalent to
     relu(batch_norm)).
 
-    Train mode keeps the centred input x - mean for its backward, and the
-    output for the ReLU mask.  It centres an input marked `_scratch` (a
-    fresh conv output that `backbone.conv_bn` hands over) in that input's
-    own buffer, which then holds x - mean, not x; any other input, and
-    infer mode, whose backward reads x, leave x as it is.  The bits are
-    those of the out-of-place path.
+    Train mode centres an input marked `_scratch` (a fresh conv output
+    that `backbone.conv_bn` hands over) in that input's own buffer, which
+    then holds x - mean, not x, to the bits of the out-of-place path.
 
-    Per-channel broadcasts run on the wide-row view (see the module
-    docstring) and the column reductions on the flat (N, C) view, so the
-    values, gradients and running statistics of both modes are, bit for
-    bit, those of the same expressions broadcast over (N, C) rows.  The
-    train-mode chains of elementwise passes run block by block of wide
-    rows (`_row_blocks`); the reductions and the ReLU mask product run on
-    whole arrays.
+    Broadcasts run on wide rows, reductions on flat (N, C) rows and train
+    mode's elementwise chains block by block (see the module docstring),
+    all to the bits of the same expressions broadcast over (N, C) rows.
     """
-    xv = x.data
+    xv, shape = x.data, x.data.shape
     if act not in (None, "relu"):
         raise InputError(f"unknown batch_norm activation {act!r}")
-    gamma, beta = state.gamma, state.beta
+    inputs = (x, state.gamma, state.beta)
+    gd, bd = state.gamma.data, state.beta.data
+    keep_mask = act is not None and _recording(inputs) is not None
     flat, xc, invstd, tile = _centred(xv, state, mode, overwrite=x._scratch)
 
     if mode == "train":
@@ -670,18 +679,21 @@ def batch_norm(x, state, mode="train", act=None):
         xcf = xc.reshape(n, c)
         # keep xc unscaled and fold invstd into the affine scale; the
         # backward reductions pick the invstd factor back up per channel
-        scale, shift = tile(invstd * gamma.data), tile(beta.data)
+        scale, shift = tile(invstd * gd), tile(bd)
         ov = np.empty(xc.shape, dtype=np.result_type(xc, scale))
+        mask = np.empty(ov.shape, dtype=bool) if keep_mask else None
         for r in _row_blocks(ov):
             o = np.multiply(xc[r], scale, out=ov[r])
             o += shift
             if act is not None:
                 np.maximum(o, 0.0, out=o)
-        out = Tensor(ov.reshape(xv.shape))
+            if mask is not None:
+                np.greater(o, 0.0, out=mask[r])
+        out = Tensor(ov.reshape(shape))
 
-        def bwd(g):
-            if act is not None:
-                g = _relu_grad(g, out.data)
+        def bwd(g, x, gamma, beta):
+            if mask is not None:
+                g = g * mask.reshape(shape)
             # dxh = gf * gamma, so its sum and xc-projection are just
             # gamma-scaled copies of the gf reductions: two fewer passes
             gf = g.reshape(-1, c)
@@ -691,40 +703,40 @@ def batch_norm(x, state, mode="train", act=None):
             _accum(gamma, s2 * invstd)
             if not x.requires_grad:
                 return
-            gd = gamma.data
             gwide = gf.reshape(xc.shape)
             a = tile(gd * invstd)
             b = tile(s2 * gd / n * (invstd**3))
             d = tile(s1 * gd / n * invstd)
             # the masked gradient is a fresh buffer nothing else holds, so
             # dx takes it over rather than allocating another
-            dx = gwide if act is not None else np.empty(gwide.shape, np.result_type(gwide, a))
+            dx = gwide if mask is not None else np.empty(gwide.shape, np.result_type(gwide, a))
             for r in _row_blocks(dx):
                 blk = np.multiply(gwide[r], a, out=dx[r])
                 blk -= xc[r] * b
                 blk -= d
-            _accum(x, dx.reshape(xv.shape))
+            _accum(x, dx.reshape(shape))
 
     else:
         mean = state.running_mean
         ov = xc
         ov *= tile(invstd)
-        ov *= tile(gamma.data)
-        ov += tile(beta.data)
+        ov *= tile(gd)
+        ov += tile(bd)
         if act is not None:
             np.maximum(ov, 0.0, out=ov)
-        out = Tensor(ov.reshape(xv.shape))
+        mask = ov > 0 if keep_mask else None
+        out = Tensor(ov.reshape(shape))
 
-        def bwd(g):
-            if act is not None:
-                g = _relu_grad(g, out.data)
+        def bwd(g, x, gamma, beta):
+            if mask is not None:
+                g = g * mask.reshape(shape)
             axes = tuple(range(xv.ndim - 1))
             xhat = (xv - mean) * invstd
             _accum(beta, g.sum(axis=axes))
             _accum(gamma, (g * xhat).sum(axis=axes))
-            _accum(x, g * (gamma.data * invstd))
+            _accum(x, g * (gd * invstd))
 
-    return _record((x, gamma, beta), out, bwd)
+    return _record(inputs, out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +755,7 @@ def softmax_over_axis(x, axis):
     yv = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(yv)
 
-    def bwd(g):
+    def bwd(g, x):
         _accum(x, yv * (g - (g * yv).sum(axis=axis, keepdims=True)))
 
     return _record((x,), out, bwd)
@@ -752,12 +764,11 @@ def softmax_over_axis(x, axis):
 def activation(x, kind):
     xv = x.data
     if kind == "relu":
-        yv = np.maximum(xv, 0)
-        out = Tensor(yv)
+        out = Tensor(np.maximum(xv, 0))
+        mask = xv > 0 if _recording((x,)) is not None else None  # subgradient 0 at 0
 
-        def bwd(g):
-            # subgradient 0 at exactly 0
-            _accum(x, _relu_grad(g, xv))
+        def bwd(g, x):
+            _accum(x, g * mask)
 
     elif kind == "sigmoid":
         yv = np.empty_like(xv)
@@ -767,7 +778,7 @@ def activation(x, kind):
         yv[~pos] = ex / (1.0 + ex)
         out = Tensor(yv)
 
-        def bwd(g):
+        def bwd(g, x):
             _accum(x, g * yv * (1.0 - yv))
 
     else:
@@ -792,26 +803,28 @@ def _norm_axes(axis, ndim):
 
 
 def sum_over(x, axis=None, keepdims=False):
-    axes = _norm_axes(axis, x.data.ndim)
+    shape = x.data.shape
+    axes = _norm_axes(axis, len(shape))
     out = Tensor(x.data.sum(axis=axes, keepdims=keepdims))
 
-    def bwd(g):
+    def bwd(g, x):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        _accum(x, np.broadcast_to(g, x.data.shape))
+        _accum(x, np.broadcast_to(g, shape))
 
     return _record((x,), out, bwd)
 
 
 def mean_over(x, axis=None, keepdims=False):
-    axes = _norm_axes(axis, x.data.ndim)
-    n = int(np.prod([x.data.shape[a] for a in axes])) if axes else 1
+    shape = x.data.shape
+    axes = _norm_axes(axis, len(shape))
+    n = int(np.prod([shape[a] for a in axes])) if axes else 1
     out = Tensor(x.data.mean(axis=axes, keepdims=keepdims))
 
-    def bwd(g):
+    def bwd(g, x):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        _accum(x, np.broadcast_to(g / n, x.data.shape))
+        _accum(x, np.broadcast_to(g / n, shape))
 
     return _record((x,), out, bwd)
 
@@ -826,7 +839,7 @@ def concat(tensors, axis):
     sizes = [s[axis % len(ref)] for s in shapes]
     offsets = np.cumsum([0] + sizes)
 
-    def bwd(g):
+    def bwd(g, *tensors):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis % g.ndim] = slice(lo, hi)
@@ -836,10 +849,11 @@ def concat(tensors, axis):
 
 
 def reshape(x, shape):
+    shape0 = x.data.shape
     out = Tensor(x.data.reshape(shape))
 
-    def bwd(g):
-        _accum(x, g.reshape(x.data.shape))
+    def bwd(g, x):
+        _accum(x, g.reshape(shape0))
 
     return _record((x,), out, bwd)
 
@@ -850,7 +864,7 @@ def transpose(x, axes):
     inverse = np.argsort(axes)
     out = Tensor(x.data.transpose(axes))
 
-    def bwd(g):
+    def bwd(g, x):
         _accum(x, g.transpose(inverse))
 
     return _record((x,), out, bwd)
@@ -861,10 +875,11 @@ def narrow(x, axis, start, length):
     sl = [slice(None)] * x.data.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
+    shape, dtype = x.data.shape, x.data.dtype
     out = Tensor(x.data[sl])
 
-    def bwd(g):
-        gx = np.zeros_like(x.data)
+    def bwd(g, x):
+        gx = np.zeros(shape, dtype)
         gx[sl] = g
         _accum(x, gx)
 
@@ -880,7 +895,7 @@ def l2_normalize(x, axis):
     yv = xv / norms
     out = Tensor(yv)
 
-    def bwd(g):
+    def bwd(g, x):
         proj = (g * yv).sum(axis=axis, keepdims=True)
         _accum(x, (g - yv * proj) / norms)
 
@@ -907,7 +922,7 @@ def softmax_cross_entropy(logits, labels):
     per = lse - z[np.arange(n), lab]
     out = Tensor(np.asarray(per.mean(), dtype=lv.dtype))
 
-    def bwd(g):
+    def bwd(g, logits):
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(n), lab] -= 1.0
@@ -931,7 +946,7 @@ def binary_cross_entropy(probs, targets, pos_weight=None):
     out = Tensor(np.asarray(per.mean(), dtype=pv.dtype))
     n = pv.size
 
-    def bwd(g):
+    def bwd(g, probs):
         inside = (pv > BCE_CLAMP) & (pv < 1.0 - BCE_CLAMP)
         dp = (-w * y / pc + (1.0 - y) / (1.0 - pc)) * (float(g) / n)
         _accum(probs, np.where(inside, dp, 0.0).astype(pv.dtype))

@@ -1,13 +1,62 @@
-"""Reference formulas that tests compare the model's code against."""
+"""Reference formulas that tests compare the model's code against, and the
+tests' one tracemalloc helper."""
+
+import contextlib
+import tracemalloc
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from dattnet import tensor as T
 from dattnet.backbone import Backbone, Trunk, conv_bn
-from dattnet.errors import NumericError
+from dattnet.errors import InputError, NumericError
 from dattnet.evaluation import segment_utterance
 from dattnet.model import UtteranceRecord
+
+
+@contextlib.contextmanager
+def traced_memory():
+    """Traces allocations in the block.  Yields `mem`: mem() is (bytes
+    allocated in the block and still held, the peak of those bytes since
+    the block began or since the last mem() call)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+
+        def mem():
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            return held - base, peak - base
+
+        yield mem
+    finally:
+        tracemalloc.stop()
+
+
+def compute_eer_sweep(scores):
+    """`evaluation.compute_eer` as a loop over the thresholds, counting FAR
+    and FRR with two full comparisons each."""
+    pos = np.asarray([s for s, lab in scores if lab], dtype=np.float64)
+    neg = np.asarray([s for s, lab in scores if not lab], dtype=np.float64)
+    if pos.size == 0 or neg.size == 0:
+        raise InputError("EER needs at least one positive and one negative trial")
+    thresholds = np.unique(np.concatenate([pos, neg]))
+    thresholds = np.append(thresholds, thresholds[-1] + 1.0)  # FAR=0, FRR=1 endpoint
+    # at the lowest threshold FAR=1, FRR=0, so the sweep always starts positive
+    prev_t = prev_far = prev_frr = None
+    for t in thresholds:
+        far = float((neg >= t).mean())
+        frr = float((pos < t).mean())
+        d = far - frr
+        if d == 0.0:
+            return far, float(t)
+        if d < 0.0:
+            d_prev = prev_far - prev_frr
+            alpha = d_prev / (d_prev - d)
+            eer = (1 - alpha) * prev_far + alpha * far
+            return float(eer), float((1 - alpha) * prev_t + alpha * t)
+        prev_t, prev_far, prev_frr = t, far, frr
+    raise InputError("threshold sweep never crossed")  # unreachable with sentinel
 
 
 def am_softmax_prob(embedding, fc2_weights, label, s, m):
@@ -97,13 +146,25 @@ def pool2d_masked(x, kernel, stride, pad=(0, 0)):
         np.maximum(yv, t, out=yv)
     out = T.Tensor(yv)
 
-    def bwd(g):
+    def bwd(g, xs):
         gx = np.zeros_like(xp)
         for k in range(kh * kw):
             dst = tap(gx, *divmod(k, kw))
             dst += g * (am == k)
         gx = gx[:, ph : ph + th, pw : pw + tf, :]
-        T._accum(x, gx)
+        T._accum(xs, gx)
+
+    return T._record((x,), out, bwd)
+
+
+def relu_float_mask(x):
+    """`tensor.relu` with the backward multiplying by (x > 0) cast to floats,
+    from the input it keeps."""
+    xv = x.data
+    out = T.Tensor(np.maximum(xv, 0))
+
+    def bwd(g, xs):
+        T._accum(xs, g * (xv > 0).astype(g.dtype))
 
     return T._record((x,), out, bwd)
 
@@ -135,21 +196,21 @@ def batch_norm_narrow(x, state, mode="train", act=None):
             np.maximum(ov, 0.0, out=ov)
         out = T.Tensor(ov.reshape(xv.shape))
 
-        def bwd(g):
+        def bwd(g, xs, gs, bs):
             if act is not None:
                 g = g * (out.data > 0)
             gf = g.reshape(-1, c)
             s1 = np.einsum("nc->c", gf)
             s2 = np.einsum("nc,nc->c", gf, xc)
-            T._accum(beta, s1)
-            T._accum(gamma, s2 * invstd)
-            if not x.requires_grad:
+            T._accum(bs, s1)
+            T._accum(gs, s2 * invstd)
+            if not xs.requires_grad:
                 return
             gd = gamma.data
             dx = gf * (gd * invstd)
             dx -= xc * (s2 * gd / n * (invstd**3))
             dx -= s1 * gd / n * invstd
-            T._accum(x, dx.reshape(xv.shape))
+            T._accum(xs, dx.reshape(xv.shape))
 
     else:
         mean = state.running_mean
@@ -162,14 +223,14 @@ def batch_norm_narrow(x, state, mode="train", act=None):
             np.maximum(ov, 0.0, out=ov)
         out = T.Tensor(ov)
 
-        def bwd(g):
+        def bwd(g, xs, gs, bs):
             if act is not None:
                 g = g * (out.data > 0)
             axes = tuple(range(xv.ndim - 1))
             xhat = (xv - mean) * invstd
-            T._accum(beta, g.sum(axis=axes))
-            T._accum(gamma, (g * xhat).sum(axis=axes))
-            T._accum(x, g * (gamma.data * invstd))
+            T._accum(bs, g.sum(axis=axes))
+            T._accum(gs, (g * xhat).sum(axis=axes))
+            T._accum(xs, g * (gamma.data * invstd))
 
     return T._record((x, gamma, beta), out, bwd)
 

@@ -1,13 +1,30 @@
 """Backbone structure checks: stream behavior, extents, head identities."""
 
 import copy
+import weakref
 
 import numpy as np
 import pytest
-from oracles import backbone_unfolded, preprocess_unfolded
+from oracles import (
+    backbone_unfolded,
+    batch_norm_narrow,
+    pool2d_masked,
+    preprocess_unfolded,
+    relu_float_mask,
+)
 
 from dattnet import tensor as T
-from dattnet.backbone import Backbone, BackboneConfig, BasicBlock, Preprocess, predicted_trunk_shape
+from dattnet.backbone import (
+    Backbone,
+    BackboneConfig,
+    BasicBlock,
+    BatchNorm,
+    Conv2d,
+    Preprocess,
+    Trunk,
+    conv_bn,
+    predicted_trunk_shape,
+)
 from dattnet.errors import ConfigError, ShapeError
 
 PAPER_CFG = BackboneConfig(mel_bins=64, channels=(64, 128, 256, 512),
@@ -255,6 +272,93 @@ class TestConvBnFold:
             assert np.array_equal(p.grad, want[name].grad), name
         for name in ("pre.merge_bn", "trunk.stage1.0.proj_bn", "trunk.stage0.1.bn2"):
             assert np.abs(got[f"{name}.state.gamma"].grad).max() > 0, name
+
+
+def taped_run(build, monkeypatch, spied=(), ops=None):
+    """(leaf gradients, live) of one taped train-mode forward and backward.
+
+    build(rng) returns (leaves, forward), forward() the scalar loss; rng is
+    seeded alike on every run.  `ops` maps engine op names to stand-ins for
+    the run.  `live` counts the float outputs of the `spied` ops that are
+    still referenced once the forward has returned."""
+    for name, fn in (ops or {}).items():
+        monkeypatch.setattr(T, name, fn)
+    refs = []
+    for name in spied:
+        def spy(*a, real=getattr(T, name), **k):
+            out = real(*a, **k)
+            refs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(T, name, spy)
+    leaves, forward = build(np.random.default_rng(60))
+    with T.GraphTape() as tape:
+        loss = forward()
+    live = sum(r() is not None for r in refs)
+    assert refs
+    T.backward(loss, tape)
+    monkeypatch.undo()
+    return [t.grad for t in leaves], live
+
+
+class TestTapedForwardFrees:
+    """A taped forward leaves an op's float output to its forward consumers
+    when no backward reads it, and the backward keeps its bits: against
+    oracles that keep those outputs (the norm's for its ReLU mask, the
+    ReLU's input), every leaf gradient is equal."""
+
+    @staticmethod
+    def check(build, monkeypatch, spied, oracle_ops):
+        got, live = taped_run(build, monkeypatch, spied)
+        want, oracle_live = taped_run(build, monkeypatch, spied, oracle_ops)
+        assert live == 0 and oracle_live > 0
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g is not None and np.array_equal(g, w)
+
+    @staticmethod
+    def proj_sum(y, rng):
+        return T.sum_over(T.mul(y, T.Tensor(rng.normal(size=y.data.shape).astype(np.float32))))
+
+    def test_conv_bn_relu_output_into_a_conv(self, monkeypatch):
+        def build(rng):
+            conv1, bn1 = Conv2d(rng, 3, 3, 4, 8, (1, 1), (1, 1)), BatchNorm(8)
+            conv2 = Conv2d(rng, 3, 3, 8, 8, (1, 1), (1, 1))
+            x = T.parameter(rng.normal(size=(2, 12, 8, 4)).astype(np.float32))
+
+            def forward():
+                return self.proj_sum(conv2(conv_bn(conv1, bn1, x, "train", relu=True)), rng)
+
+            return [x, conv1.weight, bn1.state.gamma, bn1.state.beta, conv2.weight], forward
+
+        self.check(build, monkeypatch, ["batch_norm"], {"batch_norm": batch_norm_narrow})
+
+    def test_basic_block_residual_sum_and_relu_output(self, monkeypatch):
+        def build(rng):
+            blk = BasicBlock(rng, 4, 4, (1, 1))
+            conv = Conv2d(rng, 3, 3, 4, 4, (1, 1), (1, 1))
+            x = T.parameter(rng.normal(size=(2, 12, 8, 4)).astype(np.float32))
+
+            def forward():
+                return self.proj_sum(conv(blk(x, "train")), rng)
+
+            return [x, conv.weight, *blk.params()], forward
+
+        oracle_ops = {"batch_norm": batch_norm_narrow, "relu": relu_float_mask}
+        self.check(build, monkeypatch, ["add", "relu"], oracle_ops)
+
+    def test_front_pool_input(self, monkeypatch):
+        def build(rng):
+            bn = BatchNorm(4)
+            x = T.parameter(rng.normal(size=(2, 12, 8, 4)).astype(np.float32))
+
+            def forward():
+                return self.proj_sum(T.pool2d(bn(x, "train", act="relu"), *Trunk.FRONT_POOL), rng)
+
+            return [x, bn.state.gamma, bn.state.beta], forward
+
+        oracle_ops = {"batch_norm": batch_norm_narrow, "pool2d": pool2d_masked}
+        self.check(build, monkeypatch, ["batch_norm"], oracle_ops)
 
 
 class TestPostprocess:

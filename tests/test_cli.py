@@ -358,11 +358,14 @@ class TestEval:
         )
         assert rc == 0
         printed = {}
-        for line in capsys.readouterr().out.splitlines():
+        out = capsys.readouterr().out.splitlines()
+        for line in out:
             parts = line.split()
             if len(parts) == 2 and parts[0].startswith("eer_"):
                 printed[parts[0]] = float(parts[1])
         assert set(printed) == {"eer_cos", "eer_binary", "eer_all"}
+        # the closing line reports the process's peak resident set
+        assert re.fullmatch(r"peak RSS [1-9]\d* MB", out[-1]), out[-1]
         with open(out_csv, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 200

@@ -23,6 +23,7 @@ from dattnet.evaluation import (
 from dattnet.features import FBNK_MAGIC, FBankMatrix, write_fbank
 from dattnet.model import DattModel
 from dattnet.scoring import NormStats
+from oracles import compute_eer_sweep
 
 TINY_CFG = BackboneConfig(
     mel_bins=32, channels=(4, 4, 8, 8), blocks_per_stage=(1, 1, 1, 1), num_f=8, num_id=3
@@ -123,6 +124,22 @@ class TestComputeEER:
             assert abs(eer - oracle_eer(scores)) <= 1e-9
             assert 0.0 <= eer <= 1.0
 
+    def test_same_bits_as_the_threshold_loop(self):
+        # the binary-search sweep returns the loop's EER and threshold bit
+        # for bit: random lists with ties, all-equal scores, one of each
+        rng = np.random.default_rng(2)
+        lists = [[(0.4, 1), (0.4, 0)], [(0.9, 1), (0.1, 0)], [(0.1, 1), (0.9, 0)],
+                 [(0.3, 1)] * 4 + [(0.3, 0)] * 7]
+        for trial in range(300):
+            n = int(rng.integers(2, 200))
+            raw = rng.integers(0, 8, n) / 7.0 if trial % 2 else rng.standard_normal(n)
+            labs = rng.integers(0, 2, n)
+            labs[:2] = (0, 1)
+            lists.append(list(zip(raw.tolist(), labs.tolist())))
+        for scores in lists:
+            got, want = (struct.pack("<2d", *f(scores)) for f in (compute_eer, compute_eer_sweep))
+            assert got == want, scores
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
@@ -135,6 +152,11 @@ class TestComputeEER:
             for xf in (lambda s: 2.0 * s + 3.0, np.exp, np.tanh):
                 moved = compute_eer(list(zip(np.asarray(xf(raw)).tolist(), labs.tolist())))[0]
                 assert abs(base - moved) <= 1e-9
+
+    def test_nan_score_raises(self):
+        for scores in ([(float("nan"), 1), (0.2, 0)], [(0.5, 1), (float("nan"), 0), (0.1, 0)]):
+            with pytest.raises(InputError, match="NaN"):
+                compute_eer(scores)
 
     def test_single_class_raises(self):
         with pytest.raises(InputError):

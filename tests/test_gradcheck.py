@@ -104,7 +104,7 @@ class TestUnitStage:
         def skewed(x, axis):
             out = real(x, axis)
             tape = T.GraphTape.current()
-            if tape is not None and tape._nodes and tape._nodes[-1][0] is out:
+            if tape is not None and tape._nodes and tape._nodes[-1][0] is out._slot:
                 node_out, fn = tape._nodes[-1]
                 tape._nodes[-1] = (node_out, lambda g: fn(1.05 * g))
             return out
@@ -125,7 +125,7 @@ class TestUnitStage:
         def op():
             first, second = T.matmul(x, w), T.softmax_over_axis(y, 0)
             tape = T.GraphTape.current()
-            if tape is not None and tape._nodes[-1][0] is second:
+            if tape is not None and tape._nodes[-1][0] is second._slot:
                 out, fn = tape._nodes[-1]
                 tape._nodes[-1] = (out, lambda g: fn(skew * g))
             return first, second

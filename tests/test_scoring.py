@@ -120,11 +120,26 @@ class TestBinaryHead:
 
 class TestNormStats:
     def test_degenerate_floored_with_warning(self):
+        # the floor is STD_FLOOR_ULPS float32 spacings at the mean, and at
+        # least STD_FLOOR, which holds near 0
         with pytest.warns(UserWarning):
-            ns = S.norm_stats_from_scores([0.7] * 10, [0.2] * 10)
+            ns = S.norm_stats_from_scores([0.7] * 10, [0.0] * 10)
         assert ns.mean_cos == pytest.approx(0.7)
-        assert ns.std_cos == S.STD_FLOOR
+        assert ns.std_cos == S.STD_FLOOR_ULPS * float(np.spacing(np.float32(0.7)))
         assert ns.std_bin == S.STD_FLOOR
+
+    def test_near_constant_calibration_bounds_a_last_bit_change(self):
+        # calibration cosines a few float32 spacings apart near 1 (std
+        # 2.8e-6, as a 6-step tiny run gives): a 6e-8 change of one cosine
+        # moved its fused score by 0.011 under a 1e-6 floor
+        rng = np.random.default_rng(12)
+        cos = 0.999996 + 2.8e-6 * rng.standard_normal(27)
+        binary = rng.random(27)
+        with pytest.warns(UserWarning, match="cosine"):
+            ns = S.norm_stats_from_scores(cos, binary)
+        assert ns.std_cos > 20 * float(np.std(cos))
+        jump = S.fuse_scores(0.99999 + 6e-8, 0.5, ns) - S.fuse_scores(0.99999, 0.5, ns)
+        assert 0 < jump <= 1e-3
 
     def test_bernoulli_half(self):
         rng = np.random.default_rng(10)

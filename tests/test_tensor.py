@@ -8,7 +8,6 @@ float64 loops; batch norm and the max-pool backward are checked against
 their narrow-row oracles.
 """
 
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,7 +15,7 @@ import pytest
 
 from dattnet import tensor as T
 from dattnet.errors import InputError, NumericError, ShapeError, TapeError
-from oracles import batch_norm_narrow, conv2d_grads_loop, im2col_sliding, pool2d_masked
+from oracles import batch_norm_narrow, conv2d_grads_loop, im2col_sliding, pool2d_masked, traced_memory
 
 
 def fd_grad(f, x, h=1e-5):
@@ -44,19 +43,6 @@ def check_grads(build, arrays, rtol=1e-4, atol=1e-7):
     for t, a in zip(tensors, arrays):
         want = fd_grad(lambda: float(build(*[T.Tensor(x) for x in arrays]).data), a)
         np.testing.assert_allclose(t.grad, want, rtol=rtol, atol=atol)
-
-
-def traced(fn):
-    """(fn(), bytes that tracemalloc counts as allocated by fn and still held
-    after it, peak bytes allocated during fn)."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return out, held - base, peak - base
 
 
 def naive_conv2d(x, w, stride, pad):
@@ -268,8 +254,9 @@ class TestConv2d:
         x32, w32, g32 = (a.astype(np.float32) for a in (x, w, g))
         xp = T._pad(x32, 3, 3)
         patches = T._band_patches(xp, 7, 7, 40, 64, 1, 1, T._strip(7, 7, 1, 64))
-        (gw, gx), _, peak = traced(
-            lambda: T._conv2d_grads(xp.shape, w32, g32, (1, 1), (3, 3), patches))
+        with traced_memory() as mem:
+            gw, gx = T._conv2d_grads(xp.shape, w32, g32, (1, 1), (3, 3), patches)
+            _, peak = mem()
         assert peak < 2 * g32.nbytes
         for got, want in zip((gw, gx), conv2d_grads_loop(x, w, g, (1, 1), (3, 3))):
             assert got.dtype == np.float32 and got.shape == want.shape
@@ -282,8 +269,9 @@ class TestConv2d:
         w = T.parameter(rng.normal(size=(3, 3, 8, 8)).astype(np.float32))
         xp = T._pad(x.data, 1, 1)
         patches = T._band_patches(xp, 3, 3, 40, 32, 1, 1, T._strip(3, 3, 8, 32))
-        with T.GraphTape() as tape:
-            y, held, _ = traced(lambda: T.conv2d(x, w, (1, 1), (1, 1)))
+        with T.GraphTape() as tape, traced_memory() as mem:
+            y = T.conv2d(x, w, (1, 1), (1, 1))
+            held, _ = mem()
         assert len(tape) == 1
         assert held - y.data.nbytes - patches.nbytes < xp.nbytes // 2
 
@@ -372,8 +360,9 @@ class TestPool2d:
         # the backward needs the shape of the -inf-padded copy, not the copy
         x = T.parameter(np.random.default_rng(14).normal(size=(2, 40, 32, 8)).astype(np.float32))
         xp_bytes = 2 * 42 * 34 * 8 * 4
-        with T.GraphTape() as tape:
-            y, held, _ = traced(lambda: T.pool2d(x, (3, 3), (2, 2), (1, 1)))
+        with T.GraphTape() as tape, traced_memory() as mem:
+            y = T.pool2d(x, (3, 3), (2, 2), (1, 1))
+            held, _ = mem()
         assert len(tape) == 1
         argmax_bytes = y.data.size  # one uint8 tap index per output
         assert held - y.data.nbytes - argmax_bytes < xp_bytes // 2

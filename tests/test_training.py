@@ -6,7 +6,6 @@ import os
 import platform
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from dattnet.training import (
     train_model,
     train_step,
 )
-from oracles import am_softmax_prob
+from oracles import am_softmax_prob, traced_memory
 
 TINY_KW = dict(
     mel_bins=32,
@@ -389,17 +388,12 @@ class TestPairBatchLosses:
         cfg = tiny_cfg()
         model = DattModel(cfg.backbone_config(), cfg.seed)
         batch = build_pair_batch(tiny_corpus(cfg), cfg, np.random.default_rng(7))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        with traced_memory() as mem:
             with T.GraphTape() as tape:
                 loss = pair_batch_losses(model, batch, cfg, "train", np.random.default_rng(8))[2]
-            held = tracemalloc.get_traced_memory()[0] - base
-            tracemalloc.reset_peak()
+            held, _ = mem()
             T.backward(loss, tape)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+            _, peak = mem()
         assert peak <= 1.05 * held, (held, peak)
         assert tape._nodes == [] and len(tape) > 0
 
